@@ -165,16 +165,15 @@ enum Pull {
 /// A hand-rolled line/frame reader over the worker socket. Not a
 /// `BufReader`: the cancel-poll read timeout can land mid-line, and
 /// this buffer must survive that timeout intact. The `stop` predicate
-/// is checked on every poll tick — the helper pool plugs in the job's
-/// cancel flag, the MT driver its silence deadline.
-pub(crate) struct FrameReader<'a> {
+/// of [`run_job_until`] is checked on every poll tick.
+struct FrameReader<'a> {
     sock: &'a UnixStream,
     stop: &'a dyn Fn() -> bool,
     buf: Vec<u8>,
 }
 
 impl<'a> FrameReader<'a> {
-    pub(crate) fn new(sock: &'a UnixStream, stop: &'a dyn Fn() -> bool) -> FrameReader<'a> {
+    fn new(sock: &'a UnixStream, stop: &'a dyn Fn() -> bool) -> FrameReader<'a> {
         FrameReader {
             sock,
             stop,
@@ -209,7 +208,7 @@ impl<'a> FrameReader<'a> {
 
     /// One `\n`-terminated line (returned without the newline), or
     /// `None` on EOF/stop/garbage-oversized-line.
-    pub(crate) fn read_line(&mut self) -> io::Result<Option<Vec<u8>>> {
+    fn read_line(&mut self) -> io::Result<Option<Vec<u8>>> {
         loop {
             if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
                 let rest = self.buf.split_off(pos + 1);
@@ -230,7 +229,7 @@ impl<'a> FrameReader<'a> {
     }
 
     /// Exactly `len` payload bytes, or `None` on EOF/stop.
-    pub(crate) fn read_exact(&mut self, len: usize) -> io::Result<Option<Vec<u8>>> {
+    fn read_exact(&mut self, len: usize) -> io::Result<Option<Vec<u8>>> {
         while self.buf.len() < len {
             match self.fill()? {
                 Pull::Data => {}
@@ -241,7 +240,7 @@ impl<'a> FrameReader<'a> {
         Ok(Some(std::mem::replace(&mut self.buf, rest)))
     }
 
-    pub(crate) fn stopped(&self) -> bool {
+    fn stopped(&self) -> bool {
         (self.stop)()
     }
 }
@@ -259,6 +258,20 @@ impl<'a> FrameReader<'a> {
 /// the caller feeds the tally into the `worker_respawns` counter —
 /// every retirement is followed by a respawn on the next checkout.
 pub fn run_job(pool: &WorkerPool, job: &HelperJob, emit: &mut dyn FnMut(DynEvent)) -> u64 {
+    run_job_until(pool, job, &|| job.is_cancelled(), emit)
+}
+
+/// [`run_job`] with a caller-supplied stop predicate in place of the
+/// job's cancel flag. The predicate is polled whenever the worker has
+/// been silent for a poll tick; once it holds, the worker is killed and
+/// nothing further is emitted. The MT driver runs the exchange on the
+/// connection thread and fires its deadlines from this predicate.
+pub fn run_job_until(
+    pool: &WorkerPool,
+    job: &HelperJob,
+    stop: &dyn Fn() -> bool,
+    emit: &mut dyn FnMut(DynEvent),
+) -> u64 {
     let (worker, mut retired) = pool.checkout();
     let mut worker = match worker {
         Ok(w) => w,
@@ -275,8 +288,7 @@ pub fn run_job(pool: &WorkerPool, job: &HelperJob, emit: &mut dyn FnMut(DynEvent
         emit(DynEvent::End { clean: false });
         return retired + 1;
     }
-    let stop = || job.is_cancelled();
-    let mut reader = FrameReader::new(&worker.sock, &stop);
+    let mut reader = FrameReader::new(&worker.sock, stop);
     // Loop exits (EOF, cancel, oversized line, unparseable header, or
     // a hard socket error) all mean the worker cannot be trusted to be
     // frame-aligned again — fall through to the kill below.
@@ -306,7 +318,7 @@ pub fn run_job(pool: &WorkerPool, job: &HelperJob, emit: &mut dyn FnMut(DynEvent
 }
 
 /// Parses `DATA <len>` (ASCII decimal, bounded by [`MAX_FRAME`]).
-pub(crate) fn parse_data_header(line: &[u8]) -> Option<usize> {
+fn parse_data_header(line: &[u8]) -> Option<usize> {
     let rest = line.strip_prefix(b"DATA ")?;
     let s = std::str::from_utf8(rest).ok()?;
     let len: usize = s.trim().parse().ok()?;

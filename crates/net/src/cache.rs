@@ -8,13 +8,14 @@
 //! LRU-bounded cache as the definition of "in memory" and routes misses
 //! to helper threads.
 
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use flash_core::caches::LruCache;
 use flash_http::mime;
 use flash_http::response::{etag_value, HeaderExtras, ResponseHeader, Status};
+use parking_lot::Mutex;
 
 /// Which representation of a resource an entry (or helper load) holds.
 /// The content cache is keyed by `(path, variant)` — see
@@ -238,19 +239,19 @@ pub const MAX_ENTRY_DIVISOR: u64 = 4;
 
 /// A resident entry plus the instant it was last known to match the
 /// file on disk — set at insert, refreshed by a successful
-/// revalidation re-stat (see [`ContentCache::lookup`]).
+/// revalidation re-stat (see [`ContentCache::lookup_at`]).
 struct Cached {
     entry: Arc<Entry>,
     validated_at: Instant,
 }
 
-/// Outcome of a freshness-aware lookup ([`ContentCache::lookup`]).
+/// Outcome of a freshness-aware lookup ([`ContentCache::lookup_at`]).
 pub enum Lookup {
     /// Resident and within its revalidation TTL: serve it.
     Hit(Arc<Entry>),
     /// Resident but past the TTL: the entry may no longer match the
     /// file on disk — re-stat before serving, then
-    /// [`ContentCache::refresh`] (unchanged) or
+    /// [`ContentCache::refresh_at`] (unchanged) or
     /// [`ContentCache::invalidate`] (changed).
     Stale(Arc<Entry>),
     /// Not resident.
@@ -289,7 +290,7 @@ impl ContentCache {
 
     /// Looks up a path, promoting on hit. Borrowed-key lookup: no
     /// allocation on this per-request path. Freshness-blind — callers
-    /// that honour a revalidation TTL use [`Self::lookup`].
+    /// that honour a revalidation TTL use [`Self::lookup_at`].
     pub fn get(&mut self, path: &str) -> Option<Arc<Entry>> {
         match self.lru.get(path) {
             Some(c) => {
@@ -303,19 +304,14 @@ impl ContentCache {
         }
     }
 
-    /// Freshness-aware lookup: a resident entry whose last validation
-    /// is older than `ttl` comes back [`Lookup::Stale`] — still
-    /// promoted and counted as a hit (the bytes are resident; it is
-    /// their *currency* that is in doubt), but the caller must re-stat
-    /// the file and either [`Self::refresh`] or [`Self::invalidate`]
-    /// before serving. `ttl = None` disables staleness entirely.
-    pub fn lookup(&mut self, path: &str, ttl: Option<Duration>) -> Lookup {
-        self.lookup_at(path, ttl, Instant::now())
-    }
-
-    /// [`Self::lookup`] with an explicit notion of "now" — the seam
-    /// the deterministic sim driver uses (its clock is a base
-    /// `Instant` plus simulated nanoseconds, never the wall clock).
+    /// Freshness-aware lookup at `now` (the caller's clock — wall time
+    /// on the real servers, simulated time in the sim): a resident
+    /// entry whose last validation is older than `ttl` comes back
+    /// [`Lookup::Stale`] — still promoted and counted as a hit (the
+    /// bytes are resident; it is their *currency* that is in doubt),
+    /// but the caller must re-stat the file and either
+    /// [`Self::refresh_at`] or [`Self::invalidate`] before serving.
+    /// `ttl = None` disables staleness entirely.
     pub fn lookup_at(&mut self, path: &str, ttl: Option<Duration>, now: Instant) -> Lookup {
         match self.lru.get(path) {
             Some(c) => {
@@ -342,14 +338,9 @@ impl ContentCache {
         self.lru.peek(path).map(|c| Arc::clone(&c.entry))
     }
 
-    /// Marks a resident entry as just revalidated against the disk
-    /// file (a re-stat matched its mtime and size): its TTL clock
-    /// restarts now.
-    pub fn refresh(&mut self, path: &str) {
-        self.refresh_at(path, Instant::now())
-    }
-
-    /// [`Self::refresh`] with an explicit validation instant.
+    /// Marks a resident entry as revalidated against the disk file at
+    /// `now` (a re-stat matched its mtime and size): its TTL clock
+    /// restarts.
     pub fn refresh_at(&mut self, path: &str, now: Instant) {
         if let Some(c) = self.lru.get_mut(path) {
             c.validated_at = now;
@@ -417,6 +408,51 @@ impl ContentCache {
     /// Inserts refused by the oversized-entry admission check.
     pub fn rejected_oversized(&self) -> u64 {
         self.rejected_oversized
+    }
+}
+
+/// A content cache behind one lock, together with the reload
+/// generation its entries were loaded under. An AMPED shard holds the
+/// only handle to its own cache, so the lock is never contended; the
+/// MT server's connection threads all hold clones of one. Because the
+/// generation lives under the same lock as the entries, a reload flush
+/// and an insert racing it serialize: an insert from a job dispatched
+/// under an older generation finds the generation advanced and is
+/// skipped, so pre-reload bytes never poison the post-reload cache.
+#[derive(Clone)]
+pub struct SharedCache(Arc<Mutex<CacheGen>>);
+
+/// What a [`SharedCache`] lock guards.
+pub struct CacheGen {
+    pub cache: ContentCache,
+    /// The reload generation the resident entries belong to.
+    pub generation: u64,
+}
+
+impl SharedCache {
+    /// An empty generation-0 cache bounded to `capacity_bytes`.
+    pub fn new(capacity_bytes: u64) -> SharedCache {
+        SharedCache(Arc::new(Mutex::new(CacheGen {
+            cache: ContentCache::new(capacity_bytes),
+            generation: 0,
+        })))
+    }
+
+    /// Locks the cache together with its generation.
+    pub fn lock(&self) -> MutexGuard<'_, CacheGen> {
+        self.0.lock()
+    }
+}
+
+impl CacheGen {
+    /// Moves the cache to reload `generation`, flushing it wholesale
+    /// (same budget) unless that generation is already applied — the
+    /// first handle to observe a reload flushes, the rest find it done.
+    pub fn advance(&mut self, generation: u64) {
+        if self.generation != generation {
+            self.cache = ContentCache::new(self.cache.capacity_bytes);
+            self.generation = generation;
+        }
     }
 }
 
@@ -542,27 +578,28 @@ mod tests {
     #[test]
     fn lookup_reports_staleness_and_refresh_resets_it() {
         let mut c = ContentCache::new(1024 * 1024);
-        c.insert("/a".into(), Entry::build("/a", b"x".to_vec()));
+        let now = Instant::now();
+        c.insert_at("/a".into(), Entry::build("/a", b"x".to_vec()), now);
         // Long TTL: fresh.
         assert!(matches!(
-            c.lookup("/a", Some(Duration::from_secs(60))),
+            c.lookup_at("/a", Some(Duration::from_secs(60)), now),
             Lookup::Hit(_)
         ));
         // Zero TTL: immediately stale — resident but untrusted.
         assert!(matches!(
-            c.lookup("/a", Some(Duration::ZERO)),
+            c.lookup_at("/a", Some(Duration::ZERO), now),
             Lookup::Stale(_)
         ));
         // No TTL: staleness disabled entirely.
-        assert!(matches!(c.lookup("/a", None), Lookup::Hit(_)));
+        assert!(matches!(c.lookup_at("/a", None, now), Lookup::Hit(_)));
         // A refresh restarts the clock for a non-zero TTL.
-        c.refresh("/a");
+        c.refresh_at("/a", now);
         assert!(matches!(
-            c.lookup("/a", Some(Duration::from_secs(60))),
+            c.lookup_at("/a", Some(Duration::from_secs(60)), now),
             Lookup::Hit(_)
         ));
         assert!(matches!(
-            c.lookup("/missing", Some(Duration::from_secs(60))),
+            c.lookup_at("/missing", Some(Duration::from_secs(60)), now),
             Lookup::Miss
         ));
     }

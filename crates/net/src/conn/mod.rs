@@ -1,35 +1,40 @@
-//! The **sans-IO protocol core**: the AMPED connection state machine
-//! and per-shard bookkeeping, extracted from the syscall-driven server
-//! loop so one body of protocol logic can run under two drivers —
-//! the real event loop in [`crate::server`] (sockets, `writev(2)`,
-//! `sendfile(2)`, the shared helper-thread pool) and the deterministic
-//! simulation in [`crate::sim`] (in-memory endpoints, simulated time,
-//! scheduled fault injection, millions of replayed connections).
+//! The **sans-IO protocol core**: the connection state machine and
+//! per-shard bookkeeping, kept free of syscalls so one body of protocol
+//! logic runs under three drivers — the AMPED event loop in
+//! [`crate::server`] (nonblocking sockets, `writev(2)`, `sendfile(2)`,
+//! the shared helper-thread pool), the MT server in [`crate::mt`]
+//! (one blocking thread per connection, jobs run inline, one locked
+//! cache), and the deterministic simulation in [`crate::sim`]
+//! (in-memory endpoints, simulated time, scheduled fault injection,
+//! millions of replayed connections).
 //!
 //! The core speaks through two narrow traits and two existing seams:
 //!
 //! * [`ConnIo`] — everything the state machine ever asks of a
 //!   transport: `read`, gathered `writev`, and one `sendfile` chunk
-//!   against an opaque [`ConnIo::FileRef`]. The real driver implements
-//!   it over a nonblocking `TcpStream` (with `FileRef = Arc<File>`);
-//!   the sim implements it over byte queues with windows and injected
-//!   partial writes (with a value-type file handle).
-//! * [`HelperPort`] — how the core dispatches disk work. The core
-//!   submits a [`HelperJob`] and later receives a [`Done`]; whether a
-//!   helper thread pool or a simulated-latency scheduler sits behind
-//!   the port is the driver's business.
+//!   against an opaque [`ConnIo::FileRef`]. Both real drivers
+//!   implement it over a nonblocking `TcpStream` (with
+//!   `FileRef = Arc<File>`); the sim implements it over byte queues
+//!   with windows and injected partial writes (with a value-type file
+//!   handle).
+//! * [`HelperPort`] — how the core dispatches disk and worker jobs.
+//!   The core submits a [`HelperJob`] and later receives a [`Done`];
+//!   whether a helper thread pool, the submitting thread itself, or a
+//!   simulated-latency scheduler sits behind the port is the driver's
+//!   business.
 //! * the [`crate::event::EventBackend`] and [`crate::timer::TimerWheel`]
-//!   seams are unchanged: readiness and deadlines stay driver-owned,
-//!   with the core exposing [`machine::desired_interest`] and
-//!   [`machine::sync_deadline`] so both drivers reconcile them the
-//!   same way.
+//!   seams: readiness and deadlines stay driver-owned, with the core
+//!   exposing [`machine::desired_interest`], [`machine::sync_deadline`]
+//!   and [`ShardCore::expire_deadline`] so every driver arms and fires
+//!   them the same way.
 //!
 //! Layout: [`machine`] holds the per-connection state machine
 //! ([`machine::Conn`], flush/gather/advance, deadline sync); [`shard`]
 //! holds the per-shard protocol state ([`shard::ShardCore`]: content
-//! cache, miss coalescing, job cancellation, reload epochs, drain) and
-//! the request/completion transitions. Nothing in this module performs
-//! a syscall or reads a clock — every instant is a parameter.
+//! cache, miss coalescing, job cancellation, reload epochs, drain,
+//! deadline expiry, the close path) and the request/completion
+//! transitions. Nothing in this module performs a syscall or reads a
+//! clock — every instant is a parameter.
 
 pub mod machine;
 pub mod plan;
@@ -42,8 +47,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 pub use machine::{Conn, ConnState, DeadlineKind, Drive};
-pub use plan::{BodySource, RequestCond, Resource, ResponsePlan};
-pub use shard::ShardCore;
+pub use plan::{BodySource, FileRep, RequestCond, Resource, ResponsePlan};
+pub use shard::{Expiry, ShardCore};
 
 use crate::cache::Variant;
 use crate::stats::Histogram;
@@ -51,7 +56,9 @@ use crate::stats::Histogram;
 /// The transport seam: every I/O operation the connection state
 /// machine performs, with nonblocking semantics — `WouldBlock` means
 /// "retry when the driver says so", exactly as on a nonblocking
-/// socket. Implementations must never block.
+/// socket. Implementations must never block: a driver that blocks
+/// (the MT server's threads, in `poll(2)` on their one socket) does
+/// so between drives, bounded by its next deadline.
 pub trait ConnIo {
     /// An opaque handle to a large body served without materializing
     /// its bytes in the core (`Arc<File>` for the real `sendfile(2)`
@@ -72,11 +79,13 @@ pub trait ConnIo {
     fn sendfile(&mut self, file: &Self::FileRef, offset: &mut u64, max: u64) -> io::Result<usize>;
 }
 
-/// The disk seam: the core submits jobs, the driver (helper pool or
-/// simulated disk) executes them and feeds the resulting [`Done`] back
-/// into [`shard::ShardCore::complete_job`].
+/// The disk seam: the core submits jobs, the driver (helper pool,
+/// the submitting thread, or simulated disk) executes them and feeds
+/// the resulting [`Done`] back into
+/// [`shard::ShardCore::complete_job`].
 pub trait HelperPort {
-    /// Dispatches one open/read (or open/fstat) job. Must not block.
+    /// Dispatches one job. Must not block: a driver that runs jobs
+    /// inline queues them here and runs them after the drive returns.
     fn submit(&mut self, job: HelperJob);
 }
 

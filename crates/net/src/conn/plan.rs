@@ -20,7 +20,7 @@ use flash_http::request::{IfRange, RangeSpec, Request};
 use flash_http::response::{error_body, ContentRange, HeaderExtras, ResponseHeader, Status};
 use flash_http::{etag_matches, mime};
 
-use crate::cache::{not_modified_since, Entry, Variant};
+use crate::cache::{header_pair, not_modified_since, Entry, Variant};
 use crate::stats::Tier;
 
 use super::machine::{Conn, SendFileState};
@@ -63,23 +63,53 @@ impl RequestCond {
     }
 }
 
+/// A large representation bound for the `sendfile` window seam: an
+/// open file handle and its identity, with the plain-200 header pair
+/// rendered once for every waiter (range and conditional responses
+/// re-render per waiter).
+pub struct FileRep<F> {
+    pub file: F,
+    pub len: u64,
+    pub mtime: Option<i64>,
+    pub variant: Variant,
+    pub has_gzip: bool,
+    pub etag: String,
+    pub header_keep: Bytes,
+    pub header_close: Bytes,
+}
+
+impl<F> FileRep<F> {
+    /// `file` served at `url_path`, with its header pair rendered.
+    pub fn new(
+        url_path: &str,
+        file: F,
+        len: u64,
+        mtime: Option<i64>,
+        variant: Variant,
+        has_gzip: bool,
+    ) -> FileRep<F> {
+        let (header_keep, header_close, etag) =
+            header_pair(url_path, len, mtime, variant, has_gzip);
+        FileRep {
+            file,
+            len,
+            mtime,
+            variant,
+            has_gzip,
+            etag,
+            header_keep,
+            header_close,
+        }
+    }
+}
+
 /// The representation about to be served, unified across the two
 /// storage tiers so the planner never branches on "cached or fd".
 pub enum Resource<'a, F> {
     /// A content-cache entry (body resident, headers pre-rendered).
     Cached(&'a Arc<Entry>),
-    /// An open file handle bound for the `sendfile` window seam, with
-    /// the plain-200 header pair pre-rendered once per completion.
-    File {
-        file: &'a F,
-        len: u64,
-        mtime: Option<i64>,
-        variant: Variant,
-        has_gzip: bool,
-        etag: &'a str,
-        header_keep: &'a Bytes,
-        header_close: &'a Bytes,
-    },
+    /// An open file handle bound for the `sendfile` window seam.
+    File(&'a FileRep<F>),
 }
 
 impl<'a, F: Clone> Resource<'a, F> {
@@ -87,7 +117,7 @@ impl<'a, F: Clone> Resource<'a, F> {
     pub fn len(&self) -> u64 {
         match self {
             Resource::Cached(e) => e.body.len() as u64,
-            Resource::File { len, .. } => *len,
+            Resource::File(f) => f.len,
         }
     }
 
@@ -99,28 +129,28 @@ impl<'a, F: Clone> Resource<'a, F> {
     fn mtime(&self) -> Option<i64> {
         match self {
             Resource::Cached(e) => e.mtime,
-            Resource::File { mtime, .. } => *mtime,
+            Resource::File(f) => f.mtime,
         }
     }
 
     fn etag(&self) -> &str {
         match self {
             Resource::Cached(e) => &e.etag,
-            Resource::File { etag, .. } => etag,
+            Resource::File(f) => &f.etag,
         }
     }
 
     fn variant(&self) -> Variant {
         match self {
             Resource::Cached(e) => e.variant,
-            Resource::File { variant, .. } => *variant,
+            Resource::File(f) => f.variant,
         }
     }
 
     fn has_gzip(&self) -> bool {
         match self {
             Resource::Cached(e) => e.has_gzip,
-            Resource::File { has_gzip, .. } => *has_gzip,
+            Resource::File(f) => f.has_gzip,
         }
     }
 
@@ -131,8 +161,8 @@ impl<'a, F: Clone> Resource<'a, F> {
             Resource::Cached(e) => {
                 BodySource::Bytes(e.body.slice(offset as usize..(offset + len) as usize))
             }
-            Resource::File { file, .. } => BodySource::File {
-                file: (*file).clone(),
+            Resource::File(f) => BodySource::File {
+                file: f.file.clone(),
                 offset,
                 len,
             },
@@ -143,14 +173,10 @@ impl<'a, F: Clone> Resource<'a, F> {
     fn push_plain_header(&self, keep: bool, out: &mut Vec<Bytes>) {
         match self {
             Resource::Cached(e) => e.push_header(keep, out),
-            Resource::File {
-                header_keep,
-                header_close,
-                ..
-            } => out.push(if keep {
-                (*header_keep).clone()
+            Resource::File(f) => out.push(if keep {
+                f.header_keep.clone()
             } else {
-                (*header_close).clone()
+                f.header_close.clone()
             }),
         }
     }
@@ -463,19 +489,15 @@ mod tests {
 
     #[test]
     fn file_resource_windows_through_sendfile_seam() {
-        let (hk, hc, etag) =
-            crate::cache::header_pair("/big.bin", 100_000, Some(7), Variant::Identity, false);
-        let file = 42u32;
-        let res: Resource<'_, u32> = Resource::File {
-            file: &file,
-            len: 100_000,
-            mtime: Some(7),
-            variant: Variant::Identity,
-            has_gzip: false,
-            etag: &etag,
-            header_keep: &hk,
-            header_close: &hc,
-        };
+        let rep = FileRep::new(
+            "/big.bin",
+            42u32,
+            100_000,
+            Some(7),
+            Variant::Identity,
+            false,
+        );
+        let res = Resource::File(&rep);
         let s = stats();
         let cond = RequestCond {
             range: RangeSpec::parse("bytes=-500"),

@@ -18,16 +18,29 @@ use flash_http::request::{ParseStatus, Request};
 use flash_http::response::{error_body, ResponseHeader, Status};
 use flash_http::Method;
 
-use crate::cache::{self, ContentCache, Entry, Lookup, Variant};
+use crate::cache::{self, Entry, Lookup, SharedCache, Variant};
 use crate::stats::{self, AccessRecord, PendingLog, Tier};
 use crate::timer::TimerWheel;
 
 use super::machine::{flush_out, Conn, ConnState, DeadlineKind, Drive, FlushResult};
-use super::plan::{plan_dynamic, plan_response, queue_plan, RequestCond, Resource};
+use super::plan::{plan_dynamic, plan_response, queue_plan, FileRep, RequestCond, Resource};
 use super::{
     ConnIo, Done, DoneData, DynEvent, FileData, HelperJob, HelperPort, JobKind, LoadResult,
     ProtoConfig, ShardStats,
 };
+
+/// What a driver does after [`ShardCore::expire_deadline`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Expiry {
+    /// No deadline class was armed (a stale wheel token): nothing
+    /// changed.
+    Stale,
+    /// The connection was closed and its slot emptied.
+    Closed,
+    /// A response was queued (the dynamic-wait `504`): drive the
+    /// connection to send it.
+    Respond,
+}
 
 /// The shard's record of one dispatched, not-yet-completed job: the
 /// token a completion must echo to be accepted, and the cancellation
@@ -44,11 +57,10 @@ pub struct PendingJob {
 /// [`Conn`]; large-body handles pass through transiently.
 pub struct ShardCore {
     pub shard: usize,
-    pub cache: ContentCache,
-    /// This shard's slice of the content-cache budget, kept so a
-    /// SIGHUP reload can build a replacement cache of the same size
-    /// (the cache itself has no capacity getter).
-    pub cache_capacity: u64,
+    /// The content cache and its reload generation, behind one lock:
+    /// private to this core, or shared by many (the MT server's
+    /// connection threads).
+    pub cache: SharedCache,
     /// Connections parked per URL path awaiting a helper completion.
     pub waiters: HashMap<String, Vec<usize>>,
     /// In-flight jobs per URL path. Invariant (checkable via
@@ -79,12 +91,24 @@ pub struct ShardCore {
 }
 
 impl ShardCore {
-    /// A fresh shard core with a `cache_bytes`-bounded content cache.
+    /// A fresh shard core with a private `cache_bytes`-bounded
+    /// content cache.
     pub fn new(shard: usize, cache_bytes: u64, cfg: ProtoConfig, stats: Arc<ShardStats>) -> Self {
+        Self::with_cache(shard, SharedCache::new(cache_bytes), cfg, stats)
+    }
+
+    /// A fresh shard core serving from `cache`, which other cores may
+    /// share: inserts are checked against the cache's own generation,
+    /// so a core that has not applied a reload yet cannot poison it.
+    pub fn with_cache(
+        shard: usize,
+        cache: SharedCache,
+        cfg: ProtoConfig,
+        stats: Arc<ShardStats>,
+    ) -> Self {
         ShardCore {
             shard,
-            cache: ContentCache::new(cache_bytes),
-            cache_capacity: cache_bytes,
+            cache,
             waiters: HashMap::new(),
             pending_jobs: HashMap::new(),
             next_job_token: 1,
@@ -98,17 +122,21 @@ impl ShardCore {
     }
 
     /// Applies a docroot reload: the root swaps (when given), the
-    /// content cache is replaced wholesale (same budget — pre-reload
-    /// bytes must not be served under the new root), and the epoch
-    /// advances so a completion from a job dispatched before the swap
-    /// serves its parked waiters but is never inserted into the fresh
-    /// cache. In-flight connections are untouched.
+    /// content cache is flushed (same budget — pre-reload bytes must
+    /// not be served under the new root; a shared cache is flushed once
+    /// per generation, by whichever core gets there first), and the
+    /// epoch advances so a completion from a job dispatched before the
+    /// swap serves its parked waiters but is never inserted into the
+    /// fresh cache. In-flight connections are untouched.
     pub fn apply_reload(&mut self, docroot: Option<PathBuf>, generation: u64) {
         if let Some(root) = docroot {
             self.cfg.docroot = root;
         }
-        self.cache = ContentCache::new(self.cache_capacity);
-        self.stats.cache_used_bytes.store(0, Ordering::Relaxed);
+        let mut c = self.cache.lock();
+        c.advance(generation);
+        self.stats
+            .cache_used_bytes
+            .store(c.cache.used_bytes(), Ordering::Relaxed);
         self.epoch = generation;
     }
 
@@ -119,12 +147,29 @@ impl ShardCore {
         self.stats.draining.store(1, Ordering::Relaxed);
     }
 
-    /// Records a closing connection's lifetime. The core calls it on
-    /// its own close paths; drivers call it wherever *they* retire a
-    /// slot (deadline expiry, drain sweeps, registration failures).
-    pub fn note_close<Io: ConnIo>(&self, conn: &Conn<Io>, now: Instant) {
+    /// Closes connection `idx` and empties its slot — the one close
+    /// path, taken by the core's own closes, by deadline expiry, and by
+    /// drivers retiring a slot (drain sweeps, registration failures).
+    /// Records the connection's lifetime, and takes it off the waiter
+    /// list it is parked on (cancelling the job it was the last waiter
+    /// of), so a late completion can never reach a recycled slot.
+    pub fn close_conn<Io: ConnIo>(
+        &mut self,
+        idx: usize,
+        conns: &mut [Option<Conn<Io>>],
+        now: Instant,
+    ) {
+        let Some(conn) = conns.get_mut(idx).and_then(Option::take) else {
+            return;
+        };
         if let Some(t0) = conn.opened_at {
             self.stats.hist_lifetime.record(stats::nanos_since(t0, now));
+        }
+        // Exactly the connections `check_invariants` allows on a
+        // waiter list: parked `Waiting`, or mid-way through a chunked
+        // stream whose worker is still running.
+        if matches!(conn.state, ConnState::Waiting) || conn.stream_open {
+            self.purge_waiter(idx);
         }
     }
 
@@ -230,8 +275,7 @@ impl ShardCore {
                     let mut buf = [0u8; 4096];
                     match conn.io.read(&mut buf) {
                         Ok(0) => {
-                            self.note_close(conn, now);
-                            conns[idx] = None;
+                            self.close_conn(idx, conns, now);
                             return Drive::Closed;
                         }
                         Ok(n) => match conn.parser.feed(&buf[..n]) {
@@ -252,8 +296,7 @@ impl ShardCore {
                             return Drive::Blocked
                         }
                         Err(_) => {
-                            self.note_close(conn, now);
-                            conns[idx] = None;
+                            self.close_conn(idx, conns, now);
                             return Drive::Closed;
                         }
                     }
@@ -295,16 +338,14 @@ impl ShardCore {
                                 if self.draining {
                                     self.stats.drained_conns.fetch_add(1, Ordering::Relaxed);
                                 }
-                                self.note_close(conn, now);
-                                conns[idx] = None;
+                                self.close_conn(idx, conns, now);
                                 return Drive::Closed;
                             }
                         }
                         FlushResult::WouldBlock => return Drive::Blocked,
                         FlushResult::Yielded => return Drive::Yielded,
                         FlushResult::Error => {
-                            self.note_close(conn, now);
-                            conns[idx] = None;
+                            self.close_conn(idx, conns, now);
                             return Drive::Closed;
                         }
                     }
@@ -382,47 +423,46 @@ impl ShardCore {
         // resource known to have no `.gz` sibling) goes straight to the
         // identity slot. Either way the hit is served through the one
         // response plane — the planner, not the lookup, decides
-        // 200/206/304/416.
-        let (key, kind, variant) = if conn.cond.accept_gzip {
-            let gz_key = cache::variant_key(&path, Variant::Gzip);
-            match self.cache.lookup_at(&gz_key, ttl, now) {
-                Lookup::Hit(entry) => {
-                    self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    self.respond_cached(conn, &entry, &path, Tier::Hit);
-                    return;
+        // 200/206/304/416. One lock covers both lookups.
+        let looked_up = {
+            let mut c = self.cache.lock();
+            if conn.cond.accept_gzip {
+                let gz_key = cache::variant_key(&path, Variant::Gzip);
+                match c.cache.lookup_at(&gz_key, ttl, now) {
+                    Lookup::Hit(entry) => Ok(entry),
+                    Lookup::Stale(_) => Err((gz_key, JobKind::Revalidate, Variant::Gzip)),
+                    // No gzip entry yet. An identity hit that *knows*
+                    // no sibling exists is served as-is; anything else
+                    // (miss, stale, or a sibling on record) dispatches
+                    // a gzip-preference load, which falls back to
+                    // identity when no `.gz` file is found.
+                    Lookup::Miss => match c.cache.lookup_at(&path, ttl, now) {
+                        Lookup::Hit(entry) if !entry.has_gzip => Ok(entry),
+                        _ => Err((gz_key, JobKind::Load, Variant::Gzip)),
+                    },
                 }
-                Lookup::Stale(_) => (gz_key, JobKind::Revalidate, Variant::Gzip),
-                // No gzip entry yet. An identity hit that *knows* no
-                // sibling exists is served as-is; anything else (miss,
-                // stale, or a sibling on record) dispatches a
-                // gzip-preference load, which falls back to identity
-                // when no `.gz` file is found.
-                Lookup::Miss => match self.cache.lookup_at(&path, ttl, now) {
-                    Lookup::Hit(entry) if !entry.has_gzip => {
-                        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        self.respond_cached(conn, &entry, &path, Tier::Hit);
-                        return;
-                    }
-                    _ => (gz_key, JobKind::Load, Variant::Gzip),
-                },
-            }
-        } else {
-            match self.cache.lookup_at(&path, ttl, now) {
-                Lookup::Hit(entry) => {
-                    self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    self.respond_cached(conn, &entry, &path, Tier::Hit);
-                    return;
+            } else {
+                match c.cache.lookup_at(&path, ttl, now) {
+                    Lookup::Hit(entry) => Ok(entry),
+                    // Resident but past the revalidation TTL: the bytes
+                    // cannot be trusted until a helper re-stats the
+                    // file — a cheap open+fstat, no read — so the
+                    // connection parks exactly like a miss and is
+                    // served by the completion (from memory if the stat
+                    // matches, from a reload if not).
+                    Lookup::Stale(_) => Err((path.clone(), JobKind::Revalidate, Variant::Identity)),
+                    // Miss: hand the disk work to a helper.
+                    Lookup::Miss => Err((path.clone(), JobKind::Load, Variant::Identity)),
                 }
-                // Resident but past the revalidation TTL: the bytes
-                // cannot be trusted until a helper re-stats the file —
-                // a cheap open+fstat, no read — so the connection parks
-                // exactly like a miss and is served by the completion
-                // (from memory if the stat matches, from a reload if
-                // not).
-                Lookup::Stale(_) => (path.clone(), JobKind::Revalidate, Variant::Identity),
-                // Miss: hand the disk work to a helper.
-                Lookup::Miss => (path.clone(), JobKind::Load, Variant::Identity),
             }
+        };
+        let (key, kind, variant) = match looked_up {
+            Ok(entry) => {
+                self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+                self.respond_cached(conn, &entry, &path, Tier::Hit);
+                return;
+            }
+            Err(job) => job,
         };
         // Coalesce concurrent misses (and revalidations) per variant
         // key. The request parser has already normalized away any
@@ -577,7 +617,7 @@ impl ShardCore {
     /// already ran dies on token mismatch in [`Self::complete_job`])
     /// and the cancel flag is raised (an executor that has not started
     /// yet skips the job entirely).
-    pub fn purge_waiter(&mut self, idx: usize) {
+    fn purge_waiter(&mut self, idx: usize) {
         let mut orphaned: Vec<String> = Vec::new();
         self.waiters.retain(|path, list| {
             list.retain(|&w| w != idx);
@@ -651,15 +691,20 @@ impl ShardCore {
                 // back to identity (no `.gz` sibling) populates the
                 // identity slot, so the next gzip-accepting request
                 // hits `has_gzip: false` there and never re-dispatches.
-                if done.epoch == self.epoch {
-                    self.cache.insert_at(
+                // The epoch is checked against the cache's own
+                // generation, under its lock: a shared cache may have
+                // been flushed by another core that saw the reload
+                // first.
+                let mut c = self.cache.lock();
+                if done.epoch == c.generation {
+                    c.cache.insert_at(
                         cache::variant_key(&url_path, variant),
                         Arc::clone(&entry),
                         now,
                     );
                     self.stats
                         .cache_used_bytes
-                        .store(self.cache.used_bytes(), Ordering::Relaxed);
+                        .store(c.cache.used_bytes(), Ordering::Relaxed);
                 }
                 Completion::Small(entry)
             }
@@ -667,20 +712,7 @@ impl ShardCore {
                 data: FileData::Fd { file, len, mtime },
                 variant,
                 has_gzip,
-            }) => {
-                let (header_keep, header_close, etag) =
-                    cache::header_pair(&url_path, len, mtime, variant, has_gzip);
-                Completion::Large {
-                    file,
-                    len,
-                    mtime,
-                    variant,
-                    has_gzip,
-                    etag,
-                    header_keep,
-                    header_close,
-                }
-            }
+            }) => Completion::Large(FileRep::new(&url_path, file, len, mtime, variant, has_gzip)),
             Err(e) => {
                 let status = match e.kind() {
                     io::ErrorKind::NotFound => Status::NotFound,
@@ -720,31 +752,42 @@ impl ShardCore {
             let (p, v) = cache::split_variant_key(&path);
             (p.to_string(), v)
         };
-        if let (Some(entry), Ok((len, mtime))) = (self.cache.peek(&path), &stat) {
-            if entry.mtime == *mtime && entry.body.len() as u64 == *len {
-                self.cache.refresh_at(&path, now);
-                self.stats.revalidations.fetch_add(1, Ordering::Relaxed);
-                self.deliver_completion(
-                    &Completion::Small(entry),
-                    &path,
-                    &url_path,
-                    conns,
-                    completed,
-                    Tier::Hit,
-                    now,
-                );
-                return;
+        let confirmed = {
+            let mut c = self.cache.lock();
+            match (c.cache.peek(&path), &stat) {
+                (Some(entry), Ok((len, mtime)))
+                    if entry.mtime == *mtime && entry.body.len() as u64 == *len =>
+                {
+                    c.cache.refresh_at(&path, now);
+                    Some(entry)
+                }
+                // Changed, vanished, or evicted in the meantime: the
+                // resident bytes can no longer be trusted. A vanished
+                // `.gz` sibling lands here too — the requeued
+                // gzip-preference load falls back to the identity file.
+                _ => {
+                    if c.cache.invalidate(&path) {
+                        self.stats.stale_evicted.fetch_add(1, Ordering::Relaxed);
+                        self.stats
+                            .cache_used_bytes
+                            .store(c.cache.used_bytes(), Ordering::Relaxed);
+                    }
+                    None
+                }
             }
-        }
-        // Changed, vanished, or evicted in the meantime: the resident
-        // bytes can no longer be trusted. A vanished `.gz` sibling
-        // lands here too — the requeued gzip-preference load falls
-        // back to the identity file.
-        if self.cache.invalidate(&path) {
-            self.stats.stale_evicted.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .cache_used_bytes
-                .store(self.cache.used_bytes(), Ordering::Relaxed);
+        };
+        if let Some(entry) = confirmed {
+            self.stats.revalidations.fetch_add(1, Ordering::Relaxed);
+            self.deliver_completion(
+                &Completion::Small(entry),
+                &path,
+                &url_path,
+                conns,
+                completed,
+                Tier::Hit,
+                now,
+            );
+            return;
         }
         self.dispatch_job(path, JobKind::Load, variant, port);
     }
@@ -781,27 +824,8 @@ impl ShardCore {
                 Completion::Small(entry) => {
                     self.respond_cached(conn, entry, url_path, served_tier);
                 }
-                Completion::Large {
-                    file,
-                    len,
-                    mtime,
-                    variant,
-                    has_gzip,
-                    etag,
-                    header_keep,
-                    header_close,
-                } => {
-                    let res = Resource::File {
-                        file,
-                        len: *len,
-                        mtime: *mtime,
-                        variant: *variant,
-                        has_gzip: *has_gzip,
-                        etag,
-                        header_keep,
-                        header_close,
-                    };
-                    self.respond(conn, &res, url_path, Tier::Sendfile);
+                Completion::Large(rep) => {
+                    self.respond(conn, &Resource::File(rep), url_path, Tier::Sendfile);
                 }
                 Completion::Fail(status, body) => {
                     queue_error(conn, *status, body.clone());
@@ -887,32 +911,49 @@ impl ShardCore {
         }
     }
 
-    /// Expires a dynamic-wait deadline: the worker stayed silent past
-    /// `dynamic_deadline`. Pre-header the connection gets a clean 504
-    /// and the caller drives it (`true`); mid-stream the response
-    /// cannot be repaired, so the caller severs the slot (`false`).
-    /// Either way the waiter purge raises the job's cancel flag, which
-    /// makes the helper kill — and respawn — the wedged worker.
-    pub fn expire_dynamic_wait<Io: ConnIo>(
+    /// Expires connection `idx`'s armed deadline — the one mapping from
+    /// deadline class to counter and action, for every driver. The
+    /// class's counter is bumped and the connection closed, except a
+    /// dynamic wait with no body bytes out yet: the worker stayed
+    /// silent past `dynamic_deadline` before the first chunk, and the
+    /// connection gets a clean `504` for the driver to drive out (a
+    /// mid-stream response cannot be repaired, so it is severed).
+    /// Either way a waiter is purged from its list, which cancels its
+    /// job — the cancel flag is what makes a helper kill (and respawn)
+    /// a wedged worker.
+    pub fn expire_deadline<Io: ConnIo>(
         &mut self,
         idx: usize,
         conns: &mut [Option<Conn<Io>>],
-    ) -> bool {
-        self.stats.dynamic_timeouts.fetch_add(1, Ordering::Relaxed);
-        self.purge_waiter(idx);
+        now: Instant,
+    ) -> Expiry {
         let Some(conn) = conns.get_mut(idx).and_then(|c| c.as_mut()) else {
-            return false;
+            return Expiry::Stale;
         };
-        conn.dynamic = false;
-        if conn.stream_open {
-            conn.stream_open = false;
-            return false;
+        let kind = conn.deadline;
+        let counter = match kind {
+            // An expiry for a conn with no armed class can only be a
+            // stale token that survived the driver's validation; leave
+            // the connection alone.
+            DeadlineKind::None => return Expiry::Stale,
+            DeadlineKind::Idle => &self.stats.idle_reaped,
+            DeadlineKind::Header => &self.stats.read_timeouts,
+            DeadlineKind::WriteStall => &self.stats.write_stall_timeouts,
+            DeadlineKind::HelperWait => &self.stats.helper_wait_timeouts,
+            DeadlineKind::DynamicWait => &self.stats.dynamic_timeouts,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if kind == DeadlineKind::DynamicWait && !conn.stream_open {
+            conn.dynamic = false;
+            let body = Bytes::from(error_body(Status::GatewayTimeout));
+            queue_error(conn, Status::GatewayTimeout, body);
+            set_log(conn, Status::GatewayTimeout.code(), Tier::Error);
+            conn.state = ConnState::Writing;
+            self.purge_waiter(idx);
+            return Expiry::Respond;
         }
-        let body = Bytes::from(error_body(Status::GatewayTimeout));
-        queue_error(conn, Status::GatewayTimeout, body);
-        set_log(conn, Status::GatewayTimeout.code(), Tier::Error);
-        conn.state = ConnState::Writing;
-        true
+        self.close_conn(idx, conns, now);
+        Expiry::Closed
     }
 
     /// Verifies the shard's structural invariants against its
@@ -989,19 +1030,8 @@ enum Completion<F> {
     /// Small body: a cached (or at least cacheable) in-memory entry.
     Small(Arc<Entry>),
     /// Large body: a shared file handle for the sendfile window path,
-    /// with the representation's identity (variant, validator) and
-    /// both plain-200 header forms pre-rendered once for the whole
-    /// waiter list (range/conditional responses re-render per waiter).
-    Large {
-        file: F,
-        len: u64,
-        mtime: Option<i64>,
-        variant: Variant,
-        has_gzip: bool,
-        etag: String,
-        header_keep: Bytes,
-        header_close: Bytes,
-    },
+    /// its headers rendered once for the whole waiter list.
+    Large(FileRep<F>),
     Fail(Status, Bytes),
 }
 

@@ -45,8 +45,8 @@
 //!   block") and expires in **O(expired)** — no connection-table scan
 //!   — with each cause counted separately (`read_timeouts`,
 //!   `write_stall_timeouts`, `idle_reaped` in [`server::ServerStats`]).
-//!   The MT server honours the same knobs through blocking-socket
-//!   timeouts. Conditional requests are answered: 200s carry
+//!   The MT server arms and fires the same classes through the same
+//!   core. Conditional requests are answered: 200s carry
 //!   `Last-Modified`, a strong `ETag`, and a real, per-second-cached
 //!   `Date`; `If-None-Match` / `If-Modified-Since` validators get a
 //!   bodyless `304 Not Modified` (the `not_modified` counter), single
@@ -54,8 +54,8 @@
 //!   precompressed sibling when one exists — all without moving an
 //!   unneeded body byte on either tier (see *The send plane* below for
 //!   the precedence rules). Shards never
-//!   block on disk and own a **private**
-//!   [`ContentCache`] so the request path takes no locks. A **shared
+//!   block on disk and own a **private** [`ContentCache`], behind a
+//!   lock no other thread ever takes. A **shared
 //!   helper pool** performs all filesystem work, popping its per-shard
 //!   job lanes round-robin so one cold-cache shard cannot starve the
 //!   others; completions route back to the owning shard over per-shard
@@ -78,12 +78,14 @@
 //!   re-stat'ed by a helper before it is trusted — unchanged files
 //!   revalidate for free (`revalidations`), changed or deleted ones
 //!   are evicted and reloaded (`stale_evicted`).
-//! * [`mt::MtServer`] — **MT**: thread-per-connection with blocking
-//!   I/O and a shared, locked content cache, for comparison (the §3.2
-//!   trade-off discussion, measurable with `cargo bench -p
-//!   flash-bench --bench net_throughput`).
+//! * [`mt::MtServer`] — **MT**: thread-per-connection, for comparison
+//!   (the §3.2 trade-off discussion, measurable with `cargo bench -p
+//!   flash-bench --bench net_throughput`). Each connection thread runs
+//!   the same protocol core as a shard, blocking where a shard would
+//!   wait for readiness, running its disk and worker jobs itself, and
+//!   sharing one locked content cache with every other thread.
 //!
-//! Substitutions from the 1999 original (documented in DESIGN.md):
+//! Substitutions from the 1999 original:
 //! helper *threads* instead of forked processes (§3.4 permits both),
 //! an application-level content cache instead of `mmap`+`mincore`
 //! (§5.7 describes this fallback for systems without usable residency
@@ -91,9 +93,9 @@
 //! predates multicore; per-core loops are how its single-loop design
 //! scales while keeping every invariant intact *within* a shard.
 //!
-//! # Architecture: one protocol core, two drivers
+//! # Architecture: one protocol core, three drivers
 //!
-//! The AMPED server is layered **sans-IO**: everything the paper is
+//! Both servers are layered **sans-IO**: everything the paper is
 //! *about* — request parsing, the cache/helper handoff, completion
 //! routing, deadlines, drain — lives in a protocol core that performs
 //! no syscalls, reads no clocks, and names no file descriptors. The
@@ -117,7 +119,11 @@
 //!              │  pool, socketpair wakeups, readiness via       │
 //!              │  [`event`]: epoll (Linux) or poll fallback     │
 //!              ├────────────────────────────────────────────────┤
-//!   driver #2  │  deterministic sim  [`sim`] — scripted         │
+//!   driver #2  │  MT threads  [`mt`] — a thread per socket,     │
+//!              │  blocking in poll(2), jobs run inline, one     │
+//!              │  content cache shared behind a lock            │
+//!              ├────────────────────────────────────────────────┤
+//!   driver #3  │  deterministic sim  [`sim`] — scripted         │
 //!              │  endpoints, an event calendar + seeded RNG     │
 //!              │  (`flash-simcore`), simulated time, injected   │
 //!              │  faults, invariants checked every event        │
@@ -126,7 +132,11 @@
 //!
 //! Driver #1 is the production server described above; its loop only
 //! moves bytes and readiness, so every behavior worth testing lives
-//! below the seams. Driver #2 replays millions of connections in
+//! below the seams. Driver #2 is the MT comparison server: the paper's
+//! architectural difference expressed purely as driver choices (a
+//! thread per connection, jobs run on that thread, a shared locked
+//! cache), so the two servers differ only where the paper says they
+//! do. Driver #3 replays millions of connections in
 //! seconds of wall time: same-seed runs are **bit-identical** (the
 //! report's fingerprint folds every response byte), and the fault mix
 //! — partial writes, trickled headers, disk stalls, wedged helpers,

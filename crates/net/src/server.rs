@@ -92,7 +92,9 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::conn::machine::{sync_deadline, Conn};
-use crate::conn::{ConnIo, ConnState, Done, Drive, HelperJob, HelperPort, ProtoConfig, ShardCore};
+use crate::conn::{
+    ConnIo, ConnState, Done, Drive, Expiry, HelperJob, HelperPort, ProtoConfig, ShardCore,
+};
 use crate::event::{new_backend, BackendChoice, BackendKind, Event, EventBackend, Interest};
 use crate::lifecycle::{LifecycleShared, PHASE_DRAINING, PHASE_STOPPING};
 use crate::sendfile::send_file;
@@ -107,9 +109,10 @@ pub use crate::conn::{DeadlineKind, ShardStats};
 /// ([`crate::conn::machine::Conn`]) bound to a nonblocking socket.
 type NetConn = Conn<SockIo>;
 
-/// The real transport behind [`ConnIo`]: a nonblocking `TcpStream`,
-/// with gathered writes via `writev(2)` and large bodies via
-/// `sendfile(2)` against shared `Arc<File>` handles.
+/// The real transport behind [`ConnIo`], for the shards and the MT
+/// server alike: a nonblocking `TcpStream`, with gathered writes via
+/// `writev(2)` and large bodies via `sendfile(2)` against shared
+/// `Arc<File>` handles.
 pub(crate) struct SockIo {
     pub(crate) stream: TcpStream,
 }
@@ -287,6 +290,38 @@ impl NetConfig {
         NetConfigBuilder {
             cfg: NetConfig::new(docroot),
         }
+    }
+
+    /// The protocol-relevant slice of this configuration — what the
+    /// core sees, whichever driver runs it.
+    pub(crate) fn proto(&self) -> ProtoConfig {
+        ProtoConfig {
+            docroot: self.docroot.clone(),
+            idle_timeout: self.idle_timeout,
+            header_read_timeout: self.header_read_timeout,
+            write_stall_timeout: self.write_stall_timeout,
+            helper_wait_timeout: self.helper_wait_timeout,
+            cache_revalidate_ttl: self.cache_revalidate_ttl,
+            sendfile_threshold: self.sendfile_threshold_bytes,
+            metrics_endpoint: self.metrics_endpoint,
+            dynamic_prefix: self.dynamic_prefix.clone(),
+            dynamic_deadline: self.dynamic_deadline,
+            access_log: self.access_log_path.is_some(),
+        }
+    }
+
+    /// The deadline wheel's tick: an eighth of the smallest configured
+    /// timeout, so rounding (≤1 tick) plus wait cadence (≤1 tick) keeps
+    /// expiry within ~1.25× the configured deadline (see [`tick_for`]).
+    pub(crate) fn deadline_tick(&self) -> Duration {
+        let timeouts = [
+            self.idle_timeout,
+            self.header_read_timeout,
+            self.write_stall_timeout,
+            self.helper_wait_timeout,
+            self.dynamic_deadline,
+        ];
+        tick_for(timeouts.into_iter().flatten())
     }
 
     /// The consistency check behind [`NetConfigBuilder::build`],
@@ -1274,23 +1309,10 @@ impl Server {
                         break 'setup Err(e);
                     }
                 }
-                let proto = ProtoConfig {
-                    docroot: cfg.docroot.clone(),
-                    idle_timeout: cfg.idle_timeout,
-                    header_read_timeout: cfg.header_read_timeout,
-                    write_stall_timeout: cfg.write_stall_timeout,
-                    helper_wait_timeout: cfg.helper_wait_timeout,
-                    cache_revalidate_ttl: cfg.cache_revalidate_ttl,
-                    sendfile_threshold: cfg.sendfile_threshold_bytes,
-                    metrics_endpoint: cfg.metrics_endpoint,
-                    dynamic_prefix: cfg.dynamic_prefix.clone(),
-                    dynamic_deadline: cfg.dynamic_deadline,
-                    access_log: cfg.access_log_path.is_some(),
-                };
                 let mut core = ShardCore::new(
                     shard_id,
                     shard_cache_bytes,
-                    proto,
+                    cfg.proto(),
                     Arc::clone(&shard_stats[shard_id]),
                 );
                 // Every shard can see its siblings' counters, so a
@@ -1774,14 +1796,7 @@ fn shard_loop(
     // plus wait cadence (≤1 tick) keeps expiry within ~1.25× the
     // configured deadline; expiry work is O(expired), never a scan of
     // the connection table.
-    let cfg_timeouts = [
-        ctx.cfg.idle_timeout,
-        ctx.cfg.header_read_timeout,
-        ctx.cfg.write_stall_timeout,
-        ctx.cfg.helper_wait_timeout,
-        ctx.cfg.dynamic_deadline,
-    ];
-    let mut wheel = TimerWheel::new(tick_for(cfg_timeouts.into_iter().flatten()));
+    let mut wheel = TimerWheel::new(ctx.cfg.deadline_tick());
     let mut expired: Vec<u64> = Vec::new();
     // Whether the listener's READ interest is currently armed in the
     // backend (registered armed by Server::start).
@@ -1972,57 +1987,22 @@ fn shard_loop(
         for token in expired.drain(..) {
             let idx = token_slot(token);
             let fd = token_fd(token);
-            // Same stale-token guard as readiness events: only close
+            // Same stale-token guard as readiness events: only expire
             // the slot if it still holds the connection the deadline
             // was armed for.
-            let Some(conn) = conns
-                .get_mut(idx)
-                .and_then(|c| c.as_mut())
-                .filter(|c| c.io.stream.as_raw_fd() == fd)
-            else {
-                continue;
-            };
-            let kind = conn.deadline;
-            if kind == DeadlineKind::DynamicWait {
-                // The worker went silent past dynamic_deadline. The
-                // shared expiry logic purges the waiter — raising the
-                // job's cancel flag, which makes the helper kill and
-                // respawn the wedged worker — and either queues a 504
-                // (no body bytes sent yet: drive it out) or reports
-                // the stream unsalvageable (sever the slot).
-                if ctx.core.expire_dynamic_wait(idx, &mut conns) {
-                    drive_and_sync(idx, &mut conns, &mut ctx, &mut *backend, &mut wheel);
-                } else if let Some(conn) = conns.get_mut(idx).and_then(|c| c.as_mut()) {
-                    ctx.core.note_close(conn, Instant::now());
-                    let _ = backend.deregister(fd);
-                    conns[idx] = None;
-                    ctx.live_conns = ctx.live_conns.saturating_sub(1);
-                }
+            let live = conns
+                .get(idx)
+                .and_then(|c| c.as_ref())
+                .is_some_and(|c| c.io.stream.as_raw_fd() == fd);
+            if !live {
                 continue;
             }
-            let counter = match kind {
-                DeadlineKind::Idle => &ctx.core.stats.idle_reaped,
-                DeadlineKind::Header => &ctx.core.stats.read_timeouts,
-                DeadlineKind::WriteStall => &ctx.core.stats.write_stall_timeouts,
-                DeadlineKind::HelperWait => &ctx.core.stats.helper_wait_timeouts,
-                DeadlineKind::DynamicWait => unreachable!("handled above"),
-                // An expiry for a conn with no armed class can only be
-                // a stale token that survived validation by fd reuse;
-                // leave the connection alone.
-                DeadlineKind::None => continue,
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            ctx.core.note_close(conn, Instant::now());
-            let _ = backend.deregister(fd);
-            conns[idx] = None;
-            ctx.live_conns = ctx.live_conns.saturating_sub(1);
-            if kind == DeadlineKind::HelperWait {
-                // The reaped connection was parked on a waiter list;
-                // remove it (cancelling the job if it was the last
-                // waiter) so the completion — which may still arrive —
-                // cannot be delivered to whatever connection reuses
-                // this slot.
-                ctx.core.purge_waiter(idx);
+            match ctx.core.expire_deadline(idx, &mut conns, Instant::now()) {
+                Expiry::Respond => {
+                    drive_and_sync(idx, &mut conns, &mut ctx, &mut *backend, &mut wheel)
+                }
+                Expiry::Closed => release_slot(idx, fd, &mut ctx, &mut *backend, &mut wheel),
+                Expiry::Stale => {}
             }
         }
         lap(&ctx.core.stats.phase_timers_us, &mut mark);
@@ -2184,12 +2164,8 @@ fn enter_drain(
             && conn.progress > 0;
         if idle {
             let fd = conn.io.stream.as_raw_fd();
-            ctx.core.note_close(conn, Instant::now());
-            let _ = backend.deregister(fd);
-            wheel.cancel(conn_token(idx, fd));
-            conns[idx] = None;
-            ctx.live_conns = ctx.live_conns.saturating_sub(1);
             ctx.core.stats.drained_conns.fetch_add(1, Ordering::Relaxed);
+            close_slot(idx, fd, conns, ctx, backend, wheel);
         }
     }
 }
@@ -2254,16 +2230,7 @@ fn drive_and_sync(
         .drive_conn(idx, conns, &mut ctx.port, Instant::now());
     let token = conn_token(idx, fd);
     match conns.get(idx).and_then(|c| c.as_ref()) {
-        None => {
-            // Deregister even though close() would eventually unhook
-            // it: the poll backend keeps a userspace table that would
-            // otherwise hand a recycled fd number to the kernel. The
-            // wheel entry must go for the same reason — the token will
-            // be reminted when the slot is reused.
-            let _ = backend.deregister(fd);
-            wheel.cancel(token);
-            ctx.live_conns = ctx.live_conns.saturating_sub(1);
-        }
+        None => release_slot(idx, fd, ctx, backend, wheel),
         Some(conn) => {
             let want = crate::conn::machine::desired_interest(&conn.state);
             if want != conn.interest {
@@ -2272,18 +2239,11 @@ fn drive_and_sync(
                         c.interest = want;
                     }
                 } else {
-                    // Unwatchable means unreachable: drop it. If it
-                    // just went Waiting, its waiter index must go too —
-                    // the inbound helper completion would otherwise be
-                    // served to whatever connection reuses the slot.
-                    ctx.core.note_close(conn, Instant::now());
-                    conns[idx] = None;
-                    let _ = backend.deregister(fd);
-                    wheel.cancel(token);
-                    ctx.live_conns = ctx.live_conns.saturating_sub(1);
-                    if want == Interest::NONE {
-                        ctx.core.purge_waiter(idx);
-                    }
+                    // Unwatchable means unreachable: drop it (the core's
+                    // close takes a just-parked waiter off its list, so
+                    // the inbound completion cannot reach the slot's
+                    // next occupant).
+                    close_slot(idx, fd, conns, ctx, backend, wheel);
                     return;
                 }
             } else if matches!(outcome, Drive::Yielded) && backend.rearm(fd, token, want).is_err() {
@@ -2291,11 +2251,7 @@ fn drive_and_sync(
                 // permanent stall under ET: the connection can never
                 // progress, so close it rather than pin its fd and
                 // slot forever.
-                ctx.core.note_close(conn, Instant::now());
-                conns[idx] = None;
-                let _ = backend.deregister(fd);
-                wheel.cancel(token);
-                ctx.live_conns = ctx.live_conns.saturating_sub(1);
+                close_slot(idx, fd, conns, ctx, backend, wheel);
                 return;
             }
             if let Some(conn) = conns[idx].as_mut() {
@@ -2303,6 +2259,37 @@ fn drive_and_sync(
             }
         }
     }
+}
+
+/// Closes a live slot from the driver side: the core's close path,
+/// then the slot's registrations.
+fn close_slot(
+    idx: usize,
+    fd: RawFd,
+    conns: &mut [Option<NetConn>],
+    ctx: &mut ShardCtx,
+    backend: &mut dyn EventBackend,
+    wheel: &mut TimerWheel,
+) {
+    ctx.core.close_conn(idx, conns, Instant::now());
+    release_slot(idx, fd, ctx, backend, wheel);
+}
+
+/// Drops a closed slot's registrations. Deregister even though
+/// close() would eventually unhook the fd: the poll backend keeps a
+/// userspace table that would otherwise hand a recycled fd number to
+/// the kernel. The wheel entry must go for the same reason — the token
+/// is reminted when the slot is reused.
+fn release_slot(
+    idx: usize,
+    fd: RawFd,
+    ctx: &mut ShardCtx,
+    backend: &mut dyn EventBackend,
+    wheel: &mut TimerWheel,
+) {
+    let _ = backend.deregister(fd);
+    wheel.cancel(conn_token(idx, fd));
+    ctx.live_conns = ctx.live_conns.saturating_sub(1);
 }
 
 #[cfg(test)]

@@ -52,8 +52,8 @@ use flash_workload::Zipf;
 use crate::cache::{self, Variant};
 use crate::conn::machine::{sync_deadline, Conn, ConnState};
 use crate::conn::{
-    ConnIo, DeadlineKind, Done, DoneData, Drive, DynEvent, FileData, HelperJob, HelperPort,
-    JobKind, LoadResult, ProtoConfig, ShardCore, ShardStats,
+    ConnIo, Done, DoneData, Drive, DynEvent, Expiry, FileData, HelperJob, HelperPort, JobKind,
+    LoadResult, ProtoConfig, ShardCore, ShardStats,
 };
 use crate::stats::HistSummary;
 use crate::timer::TimerWheel;
@@ -982,7 +982,7 @@ impl Sim {
         self.live -= 1;
     }
 
-    /// Expires due deadlines (mirroring the real loop's expiry block)
+    /// Expires due deadlines through the core (as the real loop does)
     /// and keeps a backstop `Tick` scheduled for the next pending one.
     fn pump_timers(&mut self) {
         let now = self.now_i();
@@ -991,48 +991,19 @@ impl Sim {
         for tok in expired.drain(..) {
             let slot = (tok >> 32) as usize;
             let uid = tok as u32;
-            let kind = match self
+            let live = self
                 .conns
                 .get(slot)
                 .and_then(|c| c.as_ref())
-                .filter(|c| c.io.uid == uid)
-            {
-                Some(c) => c.deadline,
-                None => continue,
-            };
-            if kind == DeadlineKind::DynamicWait {
-                // A wedged application worker. The shared expiry path
-                // purges the waiter (raising the job's cancel flag)
-                // and either queues the 504 — pre-header — or demands
-                // a mid-stream sever.
-                if self.core.expire_dynamic_wait(slot, &mut self.conns) {
-                    self.drive(slot);
-                } else {
-                    if let Some(c) = self.conns[slot].as_ref() {
-                        self.core.note_close(c, now);
-                    }
-                    self.conns[slot] = None;
-                    self.finalize(slot);
-                }
+                .is_some_and(|c| c.io.uid == uid);
+            if !live {
                 continue;
             }
-            let counter = match kind {
-                DeadlineKind::Idle => &self.core.stats.idle_reaped,
-                DeadlineKind::Header => &self.core.stats.read_timeouts,
-                DeadlineKind::WriteStall => &self.core.stats.write_stall_timeouts,
-                DeadlineKind::HelperWait => &self.core.stats.helper_wait_timeouts,
-                DeadlineKind::DynamicWait => unreachable!("handled above"),
-                DeadlineKind::None => continue,
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            if let Some(c) = self.conns[slot].as_ref() {
-                self.core.note_close(c, now);
+            match self.core.expire_deadline(slot, &mut self.conns, now) {
+                Expiry::Respond => self.drive(slot),
+                Expiry::Closed => self.finalize(slot),
+                Expiry::Stale => {}
             }
-            self.conns[slot] = None;
-            if kind == DeadlineKind::HelperWait {
-                self.core.purge_waiter(slot);
-            }
-            self.finalize(slot);
         }
         self.expired_scratch = expired;
         if let Some(ms) = self.wheel.next_timeout_ms(now) {
@@ -1164,15 +1135,12 @@ impl Sim {
                             && c.sendfile.is_none()
                     );
                     if idle {
+                        let now = self.now_i();
                         self.core
                             .stats
                             .drained_conns
                             .fetch_add(1, Ordering::Relaxed);
-                        if let Some(c) = self.conns[slot].as_ref() {
-                            let now = self.now_i();
-                            self.core.note_close(c, now);
-                        }
-                        self.conns[slot] = None;
+                        self.core.close_conn(slot, &mut self.conns, now);
                         self.finalize(slot);
                     }
                 }

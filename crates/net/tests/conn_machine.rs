@@ -9,6 +9,11 @@
 //! The burst compositions are drawn from a seeded
 //! [`flash_simcore::SimRng`], so the exercised request mixes vary but
 //! reproduce exactly.
+//!
+//! The same in-memory harness also pins two slot-lifecycle guarantees
+//! of the core: a connection closed mid-stream leaves nothing behind
+//! for its slot's next occupant, and cores sharing one cache never
+//! poison it across a reload.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -18,20 +23,33 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
-use flash_net::cache::Variant;
-use flash_net::conn::machine::Conn;
+use bytes::Bytes;
+use flash_net::cache::{SharedCache, Variant};
+use flash_net::conn::machine::{self, Conn};
 use flash_net::conn::{
-    ConnIo, Done, DoneData, FileData, HelperJob, HelperPort, JobKind, LoadResult, ProtoConfig,
-    ShardCore, ShardStats,
+    ConnIo, DeadlineKind, Done, DoneData, DynEvent, Expiry, FileData, HelperJob, HelperPort,
+    JobKind, LoadResult, ProtoConfig, ShardCore, ShardStats,
 };
 use flash_net::timer::TimerWheel;
 use flash_simcore::SimRng;
 
-/// An always-writable in-memory transport; the response stream is
-/// captured behind an `Rc` so it survives the core closing the slot.
+/// An in-memory transport, always writable unless told to fail writes
+/// with `write_err`; the response stream is captured behind an `Rc` so
+/// it survives the core closing the slot.
 struct TestIo {
     inbox: VecDeque<u8>,
     captured: Rc<RefCell<Vec<u8>>>,
+    write_err: Option<io::ErrorKind>,
+}
+
+impl TestIo {
+    fn new(captured: &Rc<RefCell<Vec<u8>>>) -> TestIo {
+        TestIo {
+            inbox: VecDeque::new(),
+            captured: Rc::clone(captured),
+            write_err: None,
+        }
+    }
 }
 
 impl ConnIo for TestIo {
@@ -49,6 +67,9 @@ impl ConnIo for TestIo {
     }
 
     fn writev(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
+        if let Some(kind) = self.write_err {
+            return Err(kind.into());
+        }
         let mut out = self.captured.borrow_mut();
         let mut n = 0;
         for b in bufs {
@@ -128,8 +149,8 @@ fn exec(files: &HashMap<String, (Vec<u8>, bool)>, job: &HelperJob) -> Done<Arc<V
     }
 }
 
-fn core() -> ShardCore {
-    let cfg = ProtoConfig {
+fn proto() -> ProtoConfig {
+    ProtoConfig {
         docroot: PathBuf::from("/test"),
         idle_timeout: None,
         header_read_timeout: None,
@@ -141,8 +162,11 @@ fn core() -> ShardCore {
         sendfile_threshold: 4096,
         metrics_endpoint: false,
         access_log: false,
-    };
-    ShardCore::new(0, 1024 * 1024, cfg, Arc::new(ShardStats::default()))
+    }
+}
+
+fn core() -> ShardCore {
+    ShardCore::new(0, 1024 * 1024, proto(), Arc::new(ShardStats::default()))
 }
 
 /// Drives the single connection to quiescence: every synchronous
@@ -174,10 +198,7 @@ fn replay(burst: &[u8], chunks: &[&[u8]], files: &HashMap<String, (Vec<u8>, bool
     assert_eq!(chunks.iter().map(|c| c.len()).sum::<usize>(), burst.len());
     let mut core = core();
     let captured = Rc::new(RefCell::new(Vec::new()));
-    let mut conns = vec![Some(Conn::new(TestIo {
-        inbox: VecDeque::new(),
-        captured: Rc::clone(&captured),
-    }))];
+    let mut conns = vec![Some(Conn::new(TestIo::new(&captured)))];
     let mut port = SyncPort { jobs: Vec::new() };
     let now = Instant::now();
     let wheel = TimerWheel::new(std::time::Duration::from_millis(10));
@@ -284,4 +305,154 @@ fn three_way_splits_match_for_mixed_tiers() {
         scrub_dates(&mut got);
         assert_eq!(got, baseline, "split at ({a}, {b}) diverged");
     }
+}
+
+/// Feeds one worker event for `job` back through the core and drives
+/// the connection it lands on.
+fn deliver(
+    core: &mut ShardCore,
+    conns: &mut [Option<Conn<TestIo>>],
+    port: &mut SyncPort,
+    job: &HelperJob,
+    ev: DynEvent,
+) {
+    let now = Instant::now();
+    let done = Done {
+        path: job.path.clone(),
+        data: DoneData::Dynamic(ev),
+        epoch: job.epoch,
+        token: job.token,
+    };
+    let mut completed = Vec::new();
+    core.complete_job(done, conns, &mut completed, port, now);
+    for idx in completed {
+        let _ = core.drive_conn(idx, conns, port, now);
+    }
+}
+
+/// A client lost while its chunked stream is open must take its waiter
+/// registration with it, whichever way the loss is noticed: a flush
+/// that fails, or a flush stalled past the write-progress deadline.
+/// The close cancels the worker job, and the worker's next chunk dies
+/// at the token gate instead of reaching the connection that reuses
+/// slot 0.
+#[test]
+fn closed_stream_never_leaks_into_the_recycled_slot() {
+    for write_err in [io::ErrorKind::BrokenPipe, io::ErrorKind::WouldBlock] {
+        let cfg = ProtoConfig {
+            dynamic_prefix: Some("/app/".to_string()),
+            write_stall_timeout: Some(std::time::Duration::from_secs(1)),
+            ..proto()
+        };
+        let mut core = ShardCore::new(0, 1024 * 1024, cfg, Arc::new(ShardStats::default()));
+        let mut wheel = TimerWheel::new(std::time::Duration::from_millis(10));
+        let mut port = SyncPort { jobs: Vec::new() };
+        let first = Rc::new(RefCell::new(Vec::new()));
+        let mut conns = vec![Some(Conn::new(TestIo::new(&first)))];
+        conns[0]
+            .as_mut()
+            .unwrap()
+            .io
+            .inbox
+            .extend(b"GET /app/a HTTP/1.1\r\nHost: t\r\n\r\n".iter().copied());
+        let _ = core.drive_conn(0, &mut conns, &mut port, Instant::now());
+        let job = port.jobs.pop().expect("a dynamic job is dispatched");
+        assert_eq!(job.kind, JobKind::Dynamic);
+
+        let chunk = |s: &str| DynEvent::Chunk(Bytes::from(s.as_bytes().to_vec()));
+        deliver(&mut core, &mut conns, &mut port, &job, chunk("A-part-1"));
+        assert!(first.borrow().ends_with(b"8\r\nA-part-1\r\n"));
+
+        // The client goes away: the next chunk's flush fails outright,
+        // or stalls until its write-progress deadline fires.
+        conns[0].as_mut().unwrap().io.write_err = Some(write_err);
+        deliver(&mut core, &mut conns, &mut port, &job, chunk("A-part-2"));
+        if let Some(conn) = conns[0].as_mut() {
+            let now = Instant::now();
+            machine::sync_deadline(conn, 0, &core.cfg, &mut wheel, now);
+            assert_eq!(conn.deadline, DeadlineKind::WriteStall);
+            assert_eq!(core.expire_deadline(0, &mut conns, now), Expiry::Closed);
+            wheel.cancel(0);
+        }
+        assert!(conns[0].is_none(), "{write_err:?}: the slot is closed");
+        assert!(
+            job.is_cancelled(),
+            "{write_err:?}: the close cancels the job"
+        );
+        core.check_invariants(&conns, &wheel, |_| 0)
+            .expect("no waiter may outlive its connection");
+
+        // A new connection takes slot 0; the worker's late output must
+        // never reach it.
+        let second = Rc::new(RefCell::new(Vec::new()));
+        conns[0] = Some(Conn::new(TestIo::new(&second)));
+        deliver(&mut core, &mut conns, &mut port, &job, chunk("A-part-3"));
+        deliver(
+            &mut core,
+            &mut conns,
+            &mut port,
+            &job,
+            DynEvent::End { clean: true },
+        );
+        assert!(
+            second.borrow().is_empty(),
+            "{write_err:?}: recycled slot received {:?}",
+            String::from_utf8_lossy(&second.borrow())
+        );
+        core.check_invariants(&conns, &wheel, |_| 0)
+            .expect("invariants hold for the slot's new occupant");
+    }
+}
+
+/// Two cores on one shared cache, as the MT server's threads run: core
+/// A applies reload generation 1 while core B, still at epoch 0, has a
+/// load in flight that was dispatched under the old docroot. B's waiter
+/// is still served — its request predates the reload — but the
+/// pre-reload bytes must not land in the flushed cache.
+#[test]
+fn shared_cache_refuses_inserts_from_a_core_behind_the_reload() {
+    let files = disk();
+    let cache = SharedCache::new(1024 * 1024);
+    let stats = Arc::new(ShardStats::default());
+    let mut a = ShardCore::with_cache(0, cache.clone(), proto(), Arc::clone(&stats));
+    let mut b = ShardCore::with_cache(1, cache.clone(), proto(), stats);
+    let wheel = TimerWheel::new(std::time::Duration::from_millis(10));
+    let mut port = SyncPort { jobs: Vec::new() };
+    let captured = Rc::new(RefCell::new(Vec::new()));
+    let mut conns = vec![Some(Conn::new(TestIo::new(&captured)))];
+    let now = Instant::now();
+    conns[0]
+        .as_mut()
+        .unwrap()
+        .io
+        .inbox
+        .extend(b"GET /a.html HTTP/1.1\r\nHost: t\r\n\r\n".iter().copied());
+    let _ = b.drive_conn(0, &mut conns, &mut port, now);
+    let job = port.jobs.pop().expect("the miss dispatches a load");
+    assert_eq!((job.kind, job.epoch), (JobKind::Load, 0));
+
+    a.apply_reload(None, 1);
+    assert_eq!(b.epoch, 0, "B has not observed the reload");
+
+    let mut completed = Vec::new();
+    b.complete_job(
+        exec(&files, &job),
+        &mut conns,
+        &mut completed,
+        &mut port,
+        now,
+    );
+    assert_eq!(completed, vec![0]);
+    let _ = b.drive_conn(0, &mut conns, &mut port, now);
+    let out = captured.borrow().clone();
+    assert!(out.starts_with(b"HTTP/1.1 200 OK"), "B's waiter is served");
+    assert!(out.ends_with(b"alpha body"));
+    b.check_invariants(&conns, &wheel, |_| 0).unwrap();
+
+    let locked = cache.lock();
+    assert_eq!(locked.generation, 1);
+    assert!(
+        locked.cache.peek("/a.html").is_none(),
+        "a pre-reload load must not poison the post-reload cache"
+    );
 }

@@ -412,19 +412,20 @@ fn run_headers_are_alignment_padded(tag: &str, backend: BackendChoice) {
 /// Idle keep-alive reaping: a parked connection is closed once it sits
 /// past `idle_timeout`, while a connection that keeps issuing requests
 /// survives — activity resets its clock.
-fn run_idle_reaper(tag: &str, backend: BackendChoice) {
+fn run_idle_reaper(tag: &str, backend: BackendChoice, kind: ServerKind) {
     let root = docroot(tag);
     // A generous timeout relative to the active client's 150 ms
     // request spacing: a CI scheduler stall would need to exceed a
     // full second before the survivor could be mis-reaped.
-    let server = Server::start(
+    let server = flash_net::handle::start(
+        kind,
         "127.0.0.1:0",
         cfg(&root, backend)
             .with_event_loops(1)
             .with_idle_timeout(Some(Duration::from_millis(1200))),
     )
     .unwrap();
-    let addr = server.addr();
+    let addr = server.local_addr();
 
     // The idler completes one request, then goes quiet.
     let mut idler = TcpStream::connect(addr).unwrap();
@@ -477,10 +478,11 @@ fn run_idle_reaper(tag: &str, backend: BackendChoice) {
 /// bytes without ever completing the header is closed within ~1.25×
 /// the configured header-read deadline — and the trickle must NOT
 /// refresh the deadline.
-fn run_slow_header_deadline(tag: &str, backend: BackendChoice) {
+fn run_slow_header_deadline(tag: &str, backend: BackendChoice, kind: ServerKind) {
     let root = docroot(tag);
     let timeout = Duration::from_millis(800);
-    let server = Server::start(
+    let server = flash_net::handle::start(
+        kind,
         "127.0.0.1:0",
         cfg(&root, backend)
             .with_event_loops(1)
@@ -491,7 +493,7 @@ fn run_slow_header_deadline(tag: &str, backend: BackendChoice) {
             .with_write_stall_timeout(Some(Duration::from_secs(30))),
     )
     .unwrap();
-    let mut s = TcpStream::connect(server.addr()).unwrap();
+    let mut s = TcpStream::connect(server.local_addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let start = std::time::Instant::now();
     s.write_all(b"GET /index.html HT").unwrap();
@@ -527,13 +529,14 @@ fn run_slow_header_deadline(tag: &str, backend: BackendChoice) {
 /// Write-stall deadline: a client that requests a large (sendfile)
 /// body and then stops reading is closed within ~1.25× the configured
 /// write-progress deadline, with the matching counter bumped.
-fn run_stalled_reader_deadline(tag: &str, backend: BackendChoice) {
+fn run_stalled_reader_deadline(tag: &str, backend: BackendChoice, kind: ServerKind) {
     let root = docroot(tag);
     // Big enough that the kernel's socket buffers (both directions of
     // loopback, auto-tuned) can never absorb the whole body.
     std::fs::write(root.join("huge.bin"), vec![0x5Au8; 32 * 1024 * 1024]).unwrap();
     let timeout = Duration::from_millis(800);
-    let server = Server::start(
+    let server = flash_net::handle::start(
+        kind,
         "127.0.0.1:0",
         cfg(&root, backend)
             .with_event_loops(1)
@@ -542,7 +545,7 @@ fn run_stalled_reader_deadline(tag: &str, backend: BackendChoice) {
             .with_header_read_timeout(Some(Duration::from_secs(30))),
     )
     .unwrap();
-    let mut s = TcpStream::connect(server.addr()).unwrap();
+    let mut s = TcpStream::connect(server.local_addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     s.write_all(b"GET /huge.bin HTTP/1.0\r\n\r\n").unwrap();
     // Read a little to let the response start, then stop reading
@@ -636,10 +639,12 @@ fn run_slow_but_steady_reader_survives(tag: &str, backend: BackendChoice) {
 /// `If-Modified-Since` handling across both body tiers: a current
 /// validator gets a bodyless 304 (keep-alive preserved, counter
 /// bumped), a stale one gets the full 200 with `Last-Modified`.
-fn run_if_modified_since(tag: &str, backend: BackendChoice) {
+fn run_if_modified_since(tag: &str, backend: BackendChoice, kind: ServerKind) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend).with_event_loops(1)).unwrap();
-    let addr = server.addr();
+    let server =
+        flash_net::handle::start(kind, "127.0.0.1:0", cfg(&root, backend).with_event_loops(1))
+            .unwrap();
+    let addr = server.local_addr();
 
     // Prime: the 200 carries Last-Modified (the validator clients echo).
     let resp = get(addr, "GET /index.html HTTP/1.0\r\n\r\n");
@@ -803,60 +808,6 @@ fn run_mt_server(tag: &str, backend: BackendChoice) {
     }
     let resp = get(addr, "GET /gone HTTP/1.0\r\n\r\n");
     assert!(String::from_utf8_lossy(&resp).starts_with("HTTP/1.1 404"));
-    server.stop();
-    let _ = std::fs::remove_dir_all(root);
-}
-
-/// The MT server honours the same deadline knobs through its blocking
-/// socket timeouts: a slow header sender is disconnected, and a
-/// conditional request gets a 304.
-fn run_mt_deadline_and_304(tag: &str, backend: BackendChoice) {
-    let root = docroot(tag);
-    let timeout = Duration::from_millis(800);
-    let server = MtServer::start(
-        "127.0.0.1:0",
-        cfg(&root, backend)
-            .with_header_read_timeout(Some(timeout))
-            .with_idle_timeout(Some(Duration::from_secs(30))),
-    )
-    .unwrap();
-    let addr = server.addr();
-
-    // Slow header sender: closed within the deadline plus the worker's
-    // 200 ms check cadence.
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let start = std::time::Instant::now();
-    s.write_all(b"GET /index.html HT").unwrap();
-    let mut sink = Vec::new();
-    let _ = s.read_to_end(&mut sink);
-    let elapsed = start.elapsed();
-    assert!(sink.is_empty(), "no response may precede the close");
-    assert!(
-        elapsed >= timeout - Duration::from_millis(50),
-        "closed early: {elapsed:?}"
-    );
-    assert!(
-        elapsed <= timeout + Duration::from_millis(700),
-        "closed late: {elapsed:?}"
-    );
-
-    // 304 parity: prime, echo the validator back, expect Not Modified.
-    let resp = get(addr, "GET /index.html HTTP/1.0\r\n\r\n");
-    let text = String::from_utf8_lossy(&resp);
-    let validator = text
-        .lines()
-        .find_map(|l| l.strip_prefix("Last-Modified: "))
-        .expect("MT 200 must carry Last-Modified")
-        .trim()
-        .to_owned();
-    let resp = get(
-        addr,
-        &format!("GET /index.html HTTP/1.0\r\nIf-Modified-Since: {validator}\r\n\r\n"),
-    );
-    let text = String::from_utf8_lossy(&resp);
-    assert!(text.starts_with("HTTP/1.1 304 Not Modified"), "{text}");
-    assert!(!text.contains("Content-Length"), "{text}");
     server.stop();
     let _ = std::fs::remove_dir_all(root);
 }
@@ -1618,17 +1569,17 @@ macro_rules! backend_suite {
 
             #[test]
             fn amped_reaps_idle_keep_alive_connections() {
-                run_idle_reaper(&tag("reaper"), $backend);
+                run_idle_reaper(&tag("reaper"), $backend, ServerKind::Amped);
             }
 
             #[test]
             fn amped_slow_header_sender_hits_read_deadline() {
-                run_slow_header_deadline(&tag("slowhdr"), $backend);
+                run_slow_header_deadline(&tag("slowhdr"), $backend, ServerKind::Amped);
             }
 
             #[test]
             fn amped_stalled_body_reader_hits_write_deadline() {
-                run_stalled_reader_deadline(&tag("stallrd"), $backend);
+                run_stalled_reader_deadline(&tag("stallrd"), $backend, ServerKind::Amped);
             }
 
             #[test]
@@ -1638,7 +1589,7 @@ macro_rules! backend_suite {
 
             #[test]
             fn amped_if_modified_since_both_tiers() {
-                run_if_modified_since(&tag("ims"), $backend);
+                run_if_modified_since(&tag("ims"), $backend, ServerKind::Amped);
             }
 
             #[test]
@@ -1734,8 +1685,23 @@ macro_rules! backend_suite {
             }
 
             #[test]
-            fn mt_deadline_and_not_modified_parity() {
-                run_mt_deadline_and_304(&tag("mt-deadline"), $backend);
+            fn mt_reaps_idle_keep_alive_connections() {
+                run_idle_reaper(&tag("mt-reaper"), $backend, ServerKind::Mt);
+            }
+
+            #[test]
+            fn mt_slow_header_sender_hits_read_deadline() {
+                run_slow_header_deadline(&tag("mt-slowhdr"), $backend, ServerKind::Mt);
+            }
+
+            #[test]
+            fn mt_stalled_body_reader_hits_write_deadline() {
+                run_stalled_reader_deadline(&tag("mt-stallrd"), $backend, ServerKind::Mt);
+            }
+
+            #[test]
+            fn mt_if_modified_since_both_tiers() {
+                run_if_modified_since(&tag("mt-ims"), $backend, ServerKind::Mt);
             }
         }
     };

@@ -1,7 +1,7 @@
 //! Facade crate for the Flash (USENIX 1999) reproduction workspace.
 //!
 //! Re-exports the public crates so examples and integration tests can use a
-//! single dependency. See `README.md` and `DESIGN.md` at the repository root.
+//! single dependency.
 
 pub use flash_core as core;
 pub use flash_experiments as experiments;
