@@ -2,11 +2,16 @@
 //!
 //! Plays the role of Flash's pathname-translation + mapped-file +
 //! response-header caches combined: a hit serves entirely from memory
-//! with a pre-rendered (alignment-padded) header. Residency testing via
-//! `mincore` has no portable stable equivalent, so — exactly as §5.7 of
-//! the paper suggests as the fallback — the server treats its own
-//! LRU-bounded cache as the definition of "in memory" and routes misses
-//! to helper threads.
+//! with a pre-rendered (alignment-padded) header. This cache is not
+//! the residency test. A miss, or a hit past its revalidation TTL,
+//! becomes a job, and the driver decides where that job runs. On
+//! Linux 5.12+ the AMPED shards first run it themselves in the
+//! executor's nowait mode ([`crate::fsjob::exec_job_nowait`]): the
+//! kernel answers from the dentry and page caches, or says the work
+//! would block. This plays the part of the paper's `mincore` test.
+//! Only work that would block goes to a helper thread. Elsewhere every
+//! job goes to a helper, the fallback §5.7 of the paper describes for
+//! systems without a usable residency test.
 
 use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};

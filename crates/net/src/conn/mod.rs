@@ -84,8 +84,13 @@ pub trait ConnIo {
 /// the resulting [`Done`] back into
 /// [`shard::ShardCore::complete_job`].
 pub trait HelperPort {
-    /// Dispatches one job. Must not block: a driver that runs jobs
-    /// inline queues them here and runs them after the drive returns.
+    /// Dispatches one job. Must not block, but may *complete* the job
+    /// if that needs no blocking — the AMPED shards finish jobs whose
+    /// path and bytes the kernel already caches this way. The [`Done`]
+    /// still goes through `complete_job`, after the drive returns
+    /// (the core parks the waiter only once `submit` is back). A
+    /// driver that runs blocking jobs inline queues them here and runs
+    /// them after the drive returns.
     fn submit(&mut self, job: HelperJob);
 }
 
@@ -281,9 +286,13 @@ pub struct ShardStats {
     pub requests: AtomicU64,
     /// Connections dealt to this shard by the acceptor.
     pub accepted: AtomicU64,
-    /// Jobs this shard dispatched to the helper pool (content-cache
-    /// misses, after coalescing).
+    /// Jobs this shard dispatched after miss coalescing (content-cache
+    /// misses, revalidations, dynamic requests), whether the driver
+    /// then completed them inline or handed them to a helper.
     pub helper_jobs: AtomicU64,
+    /// Disk jobs the shard completed itself because path and bytes
+    /// were already cached by the kernel — no helper handoff.
+    pub inline_jobs: AtomicU64,
     /// Responses served from this shard's content cache.
     pub cache_hits: AtomicU64,
     /// Gathered `writev(2)` calls issued on the send path.

@@ -445,13 +445,13 @@ impl ShardCore {
                 match c.cache.lookup_at(&path, ttl, now) {
                     Lookup::Hit(entry) => Ok(entry),
                     // Resident but past the revalidation TTL: the bytes
-                    // cannot be trusted until a helper re-stats the
+                    // cannot be trusted until the port re-stats the
                     // file — a cheap open+fstat, no read — so the
                     // connection parks exactly like a miss and is
                     // served by the completion (from memory if the stat
                     // matches, from a reload if not).
                     Lookup::Stale(_) => Err((path.clone(), JobKind::Revalidate, Variant::Identity)),
-                    // Miss: hand the disk work to a helper.
+                    // Miss: hand the disk work to the port.
                     Lookup::Miss => Err((path.clone(), JobKind::Load, Variant::Identity)),
                 }
             }

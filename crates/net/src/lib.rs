@@ -55,8 +55,10 @@
 //!   unneeded body byte on either tier (see *The send plane* below for
 //!   the precedence rules). Shards never
 //!   block on disk and own a **private** [`ContentCache`], behind a
-//!   lock no other thread ever takes. A **shared
-//!   helper pool** performs all filesystem work, popping its per-shard
+//!   lock no other thread ever takes. A shard completes a miss or
+//!   revalidation itself when the kernel already holds the path and
+//!   the bytes (the nowait mode of [`fsjob`]). A **shared helper
+//!   pool** performs the filesystem work that would block, popping its per-shard
 //!   job lanes round-robin so one cold-cache shard cannot starve the
 //!   others; completions route back to the owning shard over per-shard
 //!   queues with coalesced socketpair wake-ups (one wake byte per
@@ -75,7 +77,7 @@
 //!   a shard's working set. Cached entries do not outlive the files
 //!   they were rendered from: a hit older than
 //!   [`server::NetConfig::cache_revalidate_ttl`] (default 2 s) is
-//!   re-stat'ed by a helper before it is trusted — unchanged files
+//!   re-stat'ed (on the shard or by a helper, as for a miss) before it is trusted — unchanged files
 //!   revalidate for free (`revalidations`), changed or deleted ones
 //!   are evicted and reloaded (`stale_evicted`).
 //! * [`mt::MtServer`] — **MT**: thread-per-connection, for comparison
@@ -86,10 +88,14 @@
 //!   sharing one locked content cache with every other thread.
 //!
 //! Substitutions from the 1999 original:
-//! helper *threads* instead of forked processes (§3.4 permits both),
-//! an application-level content cache instead of `mmap`+`mincore`
-//! (§5.7 describes this fallback for systems without usable residency
-//! tests), and N event-loop shards instead of one process — the paper
+//! helper *threads* instead of forked processes (§3.4 permits both);
+//! an application-level content cache of pre-rendered responses
+//! instead of `mmap`ed files; the kernel's own residency test instead
+//! of `mincore` — a shard runs each miss or revalidation itself with
+//! `openat2(RESOLVE_CACHED)` and `preadv2(RWF_NOWAIT)` (see [`fsjob`]),
+//! and only a job that would block goes to a helper (on kernels
+//! before 5.12 and off Linux, every job does — the §5.7 fallback); and
+//! N event-loop shards instead of one process — the paper
 //! predates multicore; per-core loops are how its single-loop design
 //! scales while keeping every invariant intact *within* a shard.
 //!
@@ -349,7 +355,8 @@
 //! | `requests` | counter | Completed responses (any status), excluding `/.flash/` responses |
 //! | `metrics_requests` | counter | Responses served by the `/.flash/*` endpoints |
 //! | `accepted` | counter | Connections accepted and dealt to shards |
-//! | `helper_jobs` | counter | Disk jobs dispatched after miss coalescing |
+//! | `helper_jobs` | counter | Disk jobs dispatched after miss coalescing (completed inline or by a helper) |
+//! | `inline_jobs` | counter | Disk jobs a shard completed itself because path and bytes were already cached (no helper handoff) |
 //! | `cache_hits` | counter | Responses served from the content cache |
 //! | `writev_calls` | counter | Gathered `writev(2)` calls on the send path |
 //! | `sendfile_calls` | counter | `sendfile(2)` calls on the large-body path |

@@ -679,7 +679,8 @@ impl ServerStats {
         metrics::ACCEPTED.merged(&self.shards)
     }
 
-    /// Helper jobs dispatched across all shards.
+    /// Jobs dispatched after miss coalescing across all shards,
+    /// whether completed on the shard or by a helper.
     pub fn helper_jobs(&self) -> u64 {
         metrics::HELPER_JOBS.merged(&self.shards)
     }
@@ -984,16 +985,32 @@ struct Job {
     job: HelperJob,
 }
 
-/// The real [`HelperPort`]: wraps each submitted job with its shard's
-/// routing tag and pushes it into that shard's lane of the shared
-/// [`JobQueue`].
+/// The real [`HelperPort`]. Each filesystem job first runs on the
+/// shard in the executor's nowait mode ([`crate::fsjob::exec_job_nowait`]):
+/// AMPED's residency test, answered by the kernel. A job whose path
+/// and bytes are cached finishes on the spot and its completion waits
+/// in `finished` for the driver; a job that would block — and every
+/// dynamic job — is wrapped with the shard's routing tag and pushed
+/// into that shard's lane of the shared [`JobQueue`].
 struct PoolPort {
     jobs: Arc<JobQueue>,
     shard: usize,
+    /// Completions of jobs finished on the shard, applied by
+    /// [`complete_inline`] right after the drive that submitted them.
+    finished: Vec<Done<Arc<File>>>,
 }
 
 impl HelperPort for PoolPort {
     fn submit(&mut self, job: HelperJob) {
+        if let Some(data) = crate::fsjob::exec_job_nowait(&job) {
+            self.finished.push(Done {
+                path: job.path,
+                data,
+                epoch: job.epoch,
+                token: job.token,
+            });
+            return;
+        }
         self.jobs.push(Job {
             shard: self.shard,
             job,
@@ -1324,6 +1341,7 @@ impl Server {
                     port: PoolPort {
                         jobs: Arc::clone(&jobs),
                         shard: shard_id,
+                        finished: Vec::new(),
                     },
                     cfg: cfg.clone(),
                     live_conns: 0,
@@ -1944,6 +1962,9 @@ fn shard_loop(
                     Instant::now(),
                 );
             }
+            // A revalidation that found its entry stale requeued a load,
+            // which may itself have finished on the shard.
+            complete_inline(&mut ctx, &mut conns, &mut completed);
             lap(&ctx.core.stats.phase_completions_us, &mut mark);
             // Completions flipped their waiters to Writing with the
             // socket unarmed; drive them now — the socket is almost
@@ -2225,9 +2246,28 @@ fn drive_and_sync(
     else {
         return;
     };
-    let outcome = ctx
+    let mut outcome = ctx
         .core
         .drive_conn(idx, conns, &mut ctx.port, Instant::now());
+    // Jobs the drive submitted that finished on the shard complete
+    // now, before the deadline sync below: their waiter is served
+    // without ever arming a helper-wait deadline.
+    let mut woken = Vec::new();
+    loop {
+        complete_inline(ctx, conns, &mut woken);
+        if woken.is_empty() {
+            break;
+        }
+        for w in woken.drain(..) {
+            if w == idx {
+                outcome = ctx
+                    .core
+                    .drive_conn(idx, conns, &mut ctx.port, Instant::now());
+            } else {
+                drive_and_sync(w, conns, ctx, backend, wheel);
+            }
+        }
+    }
     let token = conn_token(idx, fd);
     match conns.get(idx).and_then(|c| c.as_ref()) {
         None => release_slot(idx, fd, ctx, backend, wheel),
@@ -2258,6 +2298,18 @@ fn drive_and_sync(
                 sync_deadline(conn, token, &ctx.core.cfg, wheel, Instant::now());
             }
         }
+    }
+}
+
+/// Feeds the completions of jobs the port finished on the shard into
+/// the core, appending the connections they woke to `completed`. A
+/// completion can requeue a job (a stale revalidation becomes a load),
+/// so this runs until the port has nothing left.
+fn complete_inline(ctx: &mut ShardCtx, conns: &mut [Option<NetConn>], completed: &mut Vec<usize>) {
+    while let Some(done) = ctx.port.finished.pop() {
+        ctx.core.stats.inline_jobs.fetch_add(1, Ordering::Relaxed);
+        ctx.core
+            .complete_job(done, conns, completed, &mut ctx.port, Instant::now());
     }
 }
 

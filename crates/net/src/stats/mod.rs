@@ -236,7 +236,8 @@ registry! {
     REQUESTS / requests: Counter, Sum, "Completed responses (any status), excluding /.flash/ endpoint responses";
     METRICS_REQUESTS / metrics_requests: Counter, Sum, "Responses served by the /.flash/metrics and /.flash/stats endpoints";
     ACCEPTED / accepted: Counter, Sum, "Connections accepted and dealt to shards";
-    HELPER_JOBS / helper_jobs: Counter, Sum, "Disk jobs dispatched to the helper pool after miss coalescing";
+    HELPER_JOBS / helper_jobs: Counter, Sum, "Disk jobs dispatched after miss coalescing (completed inline or by a helper)";
+    INLINE_JOBS / inline_jobs: Counter, Sum, "Disk jobs a shard completed itself because path and bytes were already cached (no helper handoff)";
     CACHE_HITS / cache_hits: Counter, Sum, "Responses served from the per-shard content cache";
     WRITEV_CALLS / writev_calls: Counter, Sum, "Gathered writev(2) calls issued on the send path";
     SENDFILE_CALLS / sendfile_calls: Counter, Sum, "sendfile(2) calls issued on the large-body path";

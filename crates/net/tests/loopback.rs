@@ -1825,3 +1825,112 @@ fn real_gzip_fixture_range_and_variant_parity() {
         let _ = std::fs::remove_dir_all(&fixture);
     }
 }
+
+/// Whether the running kernel has `openat2(RESOLVE_CACHED)` (Linux
+/// 5.12+), without which shards never complete a job themselves.
+#[cfg(target_os = "linux")]
+fn kernel_has_resolve_cached() -> bool {
+    let release = std::fs::read_to_string("/proc/sys/kernel/osrelease").unwrap_or_default();
+    let mut nums = release
+        .split(|c: char| !c.is_ascii_digit())
+        .map(|n| n.parse::<u32>().unwrap_or(0));
+    let major = nums.next().unwrap_or(0);
+    let minor = nums.next().unwrap_or(0);
+    (major, minor) >= (5, 12)
+}
+
+#[cfg(target_os = "linux")]
+fn mkfifo_at(path: &std::path::Path) {
+    use std::os::unix::ffi::OsStrExt;
+    unsafe extern "C" {
+        fn mkfifo(path: *const u8, mode: u32) -> i32;
+    }
+    let mut bytes = path.as_os_str().as_bytes().to_vec();
+    bytes.push(0);
+    // SAFETY: `bytes` is a NUL-terminated path buffer that outlives
+    // the call; mkfifo reads it and touches nothing else.
+    let rc = unsafe { mkfifo(bytes.as_ptr(), 0o644) };
+    assert_eq!(rc, 0, "mkfifo failed: {}", std::io::Error::last_os_error());
+}
+
+/// AMPED's residency test: a miss on a file the kernel already holds
+/// (name in the dentry cache, bytes in the page cache) — and the
+/// revalidation of that entry once its TTL lapses — is served by the
+/// shard itself. The only helper is wedged on a FIFO the whole time,
+/// so any job that reached the pool would never complete.
+#[cfg(target_os = "linux")]
+#[test]
+fn inline_resident_miss_and_revalidation_bypass_a_wedged_helper() {
+    if !kernel_has_resolve_cached() {
+        eprintln!("skipping: kernel lacks openat2(RESOLVE_CACHED)");
+        return;
+    }
+    let root = docroot("inline-wedge");
+    let fifo = root.join("wedge.fifo");
+    mkfifo_at(&fifo);
+    let mut cfg = NetConfig::new(&root)
+        .with_event_loops(1)
+        .with_cache_revalidate_ttl(Some(Duration::from_millis(200)));
+    cfg.helpers = 1;
+    let server = Server::start("127.0.0.1:0", cfg).unwrap();
+    let addr = server.addr();
+    let shard = &server.stats().per_shard()[0];
+    let load = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+
+    // Wedge the helper: a FIFO is never a final nowait answer, so its
+    // job goes to the pool, where opening it blocks (no writer).
+    let mut wedged = TcpStream::connect(addr).unwrap();
+    wedged
+        .write_all(b"GET /wedge.fifo HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while load(&shard.helper_jobs) == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "FIFO job never dispatched"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        load(&shard.inline_jobs),
+        0,
+        "the FIFO must reach the helper"
+    );
+
+    // Prime the `.gz` sibling's negative dentry, as any earlier lookup
+    // would; the file itself was just written, so it is resident.
+    assert!(std::fs::metadata(root.join("sub/page.html.gz")).is_err());
+
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    s.write_all(b"GET /sub/page.html HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let (text, body) = read_response(&mut s);
+    assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
+    assert_eq!(body, b"subdir page");
+    assert!(
+        load(&shard.inline_jobs) >= 1,
+        "miss served without a helper"
+    );
+    assert_eq!(load(&shard.cache_hits), 0, "that was a content-cache miss");
+
+    // Past the TTL the entry needs a re-stat: also answered inline.
+    std::thread::sleep(Duration::from_millis(300));
+    s.write_all(b"GET /sub/page.html HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let (text, body) = read_response(&mut s);
+    assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
+    assert_eq!(body, b"subdir page");
+    assert_eq!(load(&shard.revalidations), 1, "re-stat confirmed the entry");
+    assert!(load(&shard.inline_jobs) >= 2);
+    assert!(
+        server.stats().render_json().contains("\"inline_jobs\":"),
+        "inline_jobs is exported"
+    );
+
+    // Unwedge so the helper can be joined at stop.
+    drop(std::fs::OpenOptions::new().write(true).open(&fifo));
+    drop(wedged);
+    server.stop();
+    let _ = std::fs::remove_dir_all(root);
+}
