@@ -126,7 +126,11 @@ fn bench_net_throughput(c: &mut Criterion) {
     let mut report = BenchReport::new();
 
     let root = docroot("amped1");
-    let server = Server::start("127.0.0.1:0", NetConfig::new(&root).with_event_loops(1)).unwrap();
+    let server = Server::start(
+        "127.0.0.1:0",
+        NetConfig::builder(&root).event_loops(1).build().unwrap(),
+    )
+    .unwrap();
     let addr = server.addr();
     let t0 = std::time::Instant::now();
     g.bench_function("amped_1_shard", |b| b.iter(|| storm(addr)));
@@ -143,11 +147,14 @@ fn bench_net_throughput(c: &mut Criterion) {
     server.stop();
     let _ = std::fs::remove_dir_all(&root);
 
-    let shards = flash_net::server::default_event_loops().max(4);
+    let shards = flash_net::config::default_event_loops().max(4);
     let root = docroot("ampedN");
     let server = Server::start(
         "127.0.0.1:0",
-        NetConfig::new(&root).with_event_loops(shards),
+        NetConfig::builder(&root)
+            .event_loops(shards)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let addr = server.addr();
@@ -176,7 +183,8 @@ fn bench_net_throughput(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&root);
 
     let root = docroot("mt");
-    let server = MtServer::start("127.0.0.1:0", NetConfig::new(&root)).unwrap();
+    let server =
+        MtServer::start("127.0.0.1:0", NetConfig::builder(&root).build().unwrap()).unwrap();
     let addr = server.addr();
     let t0 = std::time::Instant::now();
     g.bench_function("mt_thread_per_conn", |b| b.iter(|| storm(addr)));
@@ -252,7 +260,11 @@ fn bench_large_file(c: &mut Criterion) {
     ));
 
     let root = docroot_large("sendfile");
-    let server = Server::start("127.0.0.1:0", NetConfig::new(&root).with_event_loops(1)).unwrap();
+    let server = Server::start(
+        "127.0.0.1:0",
+        NetConfig::builder(&root).event_loops(1).build().unwrap(),
+    )
+    .unwrap();
     let addr = server.addr();
     g.bench_function("amped_1mib_sendfile", |b| b.iter(|| storm_large(addr)));
     assert!(
@@ -265,9 +277,11 @@ fn bench_large_file(c: &mut Criterion) {
     let root = docroot_large("cached");
     let server = Server::start(
         "127.0.0.1:0",
-        NetConfig::new(&root)
-            .with_event_loops(1)
-            .with_sendfile_threshold(16 * 1024 * 1024),
+        NetConfig::builder(&root)
+            .event_loops(1)
+            .sendfile_threshold_bytes(16 * 1024 * 1024)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let addr = server.addr();
@@ -363,7 +377,11 @@ fn bench_send_plane(c: &mut Criterion) {
     let mut report = BenchReport::new();
 
     let root = docroot_plane("range-sendfile");
-    let server = Server::start("127.0.0.1:0", NetConfig::new(&root).with_event_loops(1)).unwrap();
+    let server = Server::start(
+        "127.0.0.1:0",
+        NetConfig::builder(&root).event_loops(1).build().unwrap(),
+    )
+    .unwrap();
     let addr = server.addr();
     g.throughput(Throughput::Bytes(
         (PLANE_CLIENTS * PLANE_REQS * RANGE_WINDOW) as u64,
@@ -399,7 +417,11 @@ fn bench_send_plane(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&root);
 
     let root = docroot_plane("precompressed");
-    let server = Server::start("127.0.0.1:0", NetConfig::new(&root).with_event_loops(1)).unwrap();
+    let server = Server::start(
+        "127.0.0.1:0",
+        NetConfig::builder(&root).event_loops(1).build().unwrap(),
+    )
+    .unwrap();
     let addr = server.addr();
     g.throughput(Throughput::Elements((PLANE_CLIENTS * PLANE_REQS) as u64));
     let t0 = std::time::Instant::now();
@@ -603,9 +625,11 @@ fn bench_accept_rate(c: &mut Criterion) {
         let root = docroot("accept-rate");
         let server = Server::start(
             "127.0.0.1:0",
-            NetConfig::new(&root)
-                .with_event_loops(4)
-                .with_accept_mode(mode),
+            NetConfig::builder(&root)
+                .event_loops(4)
+                .accept_mode(mode)
+                .build()
+                .unwrap(),
         )
         .unwrap();
         let resolved = server.accept_mode();
@@ -680,13 +704,15 @@ fn bench_many_idle_connections(c: &mut Criterion) {
         let root = docroot("many-idle");
         let server = Server::start(
             "127.0.0.1:0",
-            NetConfig::new(&root)
-                .with_event_loops(1)
-                .with_backend(choice)
+            NetConfig::builder(&root)
+                .event_loops(1)
+                .backend(choice)
                 // The idle population must survive the whole
                 // measurement; reaping is its own benchmark-distorting
                 // event, so it is off here.
-                .with_idle_timeout(None),
+                .idle_timeout(None)
+                .build()
+                .unwrap(),
         )
         .unwrap();
         let addr = server.addr();

@@ -165,7 +165,7 @@ impl<Io: ConnIo> Conn<Io> {
     }
 }
 
-/// How far one call to [`super::shard::drive_conn`] got.
+/// How far one call to [`super::shard::ShardCore::drive_conn`] got.
 pub enum Drive {
     /// The slot is now empty (connection finished or died).
     Closed,

@@ -42,7 +42,7 @@ pub mod shard;
 
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -50,8 +50,9 @@ pub use machine::{Conn, ConnState, DeadlineKind, Drive};
 pub use plan::{BodySource, FileRep, RequestCond, Resource, ResponsePlan};
 pub use shard::{Expiry, ShardCore};
 
+pub use crate::stats::ShardStats;
+
 use crate::cache::Variant;
-use crate::stats::Histogram;
 
 /// The transport seam: every I/O operation the connection state
 /// machine performs, with nonblocking semantics — `WouldBlock` means
@@ -275,132 +276,4 @@ pub struct ProtoConfig {
     /// Stage an [`crate::stats::AccessRecord`] per completed response
     /// in [`ShardCore::access_log`] for the driver to drain and write.
     pub access_log: bool,
-}
-
-/// Live counters for one event-loop shard (real or simulated —
-/// atomics so the real driver's cross-thread readers need no locks;
-/// the sim reads them single-threaded).
-#[derive(Debug, Default)]
-pub struct ShardStats {
-    /// Completed responses (any status).
-    pub requests: AtomicU64,
-    /// Connections dealt to this shard by the acceptor.
-    pub accepted: AtomicU64,
-    /// Jobs this shard dispatched after miss coalescing (content-cache
-    /// misses, revalidations, dynamic requests), whether the driver
-    /// then completed them inline or handed them to a helper.
-    pub helper_jobs: AtomicU64,
-    /// Disk jobs the shard completed itself because path and bytes
-    /// were already cached by the kernel — no helper handoff.
-    pub inline_jobs: AtomicU64,
-    /// Responses served from this shard's content cache.
-    pub cache_hits: AtomicU64,
-    /// Gathered `writev(2)` calls issued on the send path.
-    pub writev_calls: AtomicU64,
-    /// `sendfile(2)` calls issued on the large-body path.
-    pub sendfile_calls: AtomicU64,
-    /// Body bytes transmitted via `sendfile(2)` (page cache → socket,
-    /// never through userspace).
-    pub bytes_sendfile: AtomicU64,
-    /// Gauge: bytes currently resident in this shard's content cache
-    /// (refreshed after every insert).
-    pub cache_used_bytes: AtomicU64,
-    /// Readiness `wait` calls this shard has issued.
-    pub wait_calls: AtomicU64,
-    /// Readiness events those waits returned (the ratio
-    /// `wait_events / wait_calls` is the batching gauge exposed as
-    /// [`crate::server::ServerStats::events_per_wait`]).
-    pub wait_events: AtomicU64,
-    /// Keep-alive connections closed by the idle deadline (no request
-    /// in flight).
-    pub idle_reaped: AtomicU64,
-    /// Connections closed by the header-read deadline (slow or silent
-    /// request senders).
-    pub read_timeouts: AtomicU64,
-    /// Connections closed by the write-progress deadline (peers that
-    /// stopped draining a response).
-    pub write_stall_timeouts: AtomicU64,
-    /// `304 Not Modified` responses served to conditional requests.
-    pub not_modified: AtomicU64,
-    /// Requests carrying a well-formed single-range `Range` header
-    /// that reached a file response (satisfiable or not).
-    pub range_requests: AtomicU64,
-    /// `416 Range Not Satisfiable` responses (`Content-Range: bytes
-    /// */len`).
-    pub range_unsatisfiable: AtomicU64,
-    /// Times this shard's reuseport listener was throttled by fd
-    /// exhaustion (`EMFILE`/`ENFILE`) or another accept failure — read
-    /// interest dropped, re-armed once a connection slot frees.
-    pub accept_backpressure: AtomicU64,
-    /// Cache hits past the revalidation TTL whose re-stat confirmed
-    /// the entry still matches the file (served, TTL clock restarted).
-    pub revalidations: AtomicU64,
-    /// Cache entries evicted because a revalidation re-stat saw a
-    /// different mtime or size (the file changed or vanished) — the
-    /// stale bytes were dropped instead of served.
-    pub stale_evicted: AtomicU64,
-    /// `Waiting` connections closed by the helper-completion deadline
-    /// — their helper or disk wedged; the late completion, if it ever
-    /// arrives, is discarded by its stale token.
-    pub helper_wait_timeouts: AtomicU64,
-    /// In-flight helper jobs cancelled because their last waiter was
-    /// reaped: the cancel flag was raised and the pending entry
-    /// dropped, so the job is skipped if still queued and its
-    /// completion (if it already ran) dies on token mismatch — never
-    /// populating the cache, never waking a reused slot.
-    pub jobs_cancelled: AtomicU64,
-    /// Gauge: 1 while this shard is in drain mode (listener quiesced,
-    /// serving out existing connections), 0 otherwise.
-    pub draining: AtomicU64,
-    /// Connections retired *by the drain*: idle keep-alive
-    /// connections closed at drain entry plus keep-alive connections
-    /// closed after their final response went out whole.
-    pub drained_conns: AtomicU64,
-    /// Responses served by the `/.flash/metrics` and `/.flash/stats`
-    /// endpoints (kept out of `requests` so workload counters stay
-    /// exact under scraping).
-    pub metrics_requests: AtomicU64,
-    /// Requests routed to the dynamic tier (matched the configured
-    /// prefix), whether they completed, timed out, or crashed.
-    pub dynamic_requests: AtomicU64,
-    /// Application workers killed and replaced: crashes (EOF before
-    /// the protocol's END) plus deadline kills of wedged workers.
-    pub worker_respawns: AtomicU64,
-    /// Dynamic requests that hit `dynamic_deadline`: answered `504`
-    /// before headers went out, severed mid-stream after.
-    pub dynamic_timeouts: AtomicU64,
-    /// Event-loop iterations whose non-wait time exceeded the
-    /// configured `loop_stall_threshold` — the direct "did the AMPED
-    /// loop block?" probe.
-    pub loop_stalls: AtomicU64,
-    /// Gauge (max-merged): high-water mark of per-iteration non-wait
-    /// loop time, in microseconds.
-    pub loop_stall_max_us: AtomicU64,
-    /// Cumulative microseconds the loop spent blocked in readiness
-    /// wait (the only phase *allowed* to block).
-    pub phase_wait_us: AtomicU64,
-    /// Cumulative microseconds spent accepting connections.
-    pub phase_accept_us: AtomicU64,
-    /// Cumulative microseconds spent driving readiness events.
-    pub phase_read_us: AtomicU64,
-    /// Cumulative microseconds spent driving connections whose helper
-    /// completion just arrived.
-    pub phase_respond_us: AtomicU64,
-    /// Cumulative microseconds spent applying helper completions.
-    pub phase_completions_us: AtomicU64,
-    /// Cumulative microseconds spent expiring deadline timers.
-    pub phase_timers_us: AtomicU64,
-    /// Request latency: request parsed → final response byte queued.
-    pub hist_request: Histogram,
-    /// Time to first byte: request parsed → first response byte
-    /// accepted by the transport.
-    pub hist_ttfb: Histogram,
-    /// Helper-job wait: connection parked `Waiting` → completion
-    /// delivered.
-    pub hist_helper_wait: Histogram,
-    /// Worker wait: dynamic request dispatched → first worker event
-    /// (first chunk or an immediate end) delivered.
-    pub hist_worker_wait: Histogram,
-    /// Connection lifetime: accept → close, any close reason.
-    pub hist_lifetime: Histogram,
 }

@@ -6,14 +6,14 @@
 //! * [`server::Server`] — **sharded AMPED**:
 //!   `NetConfig::event_loops` independent event-loop shards (default
 //!   `min(cores, 8)`) with a **pluggable accept path**
-//!   ([`server::NetConfig::accept_mode`], resolved by [`sock`]): in
+//!   ([`NetConfig::accept_mode`], resolved by [`sock`]): in
 //!   the default reuseport mode (Linux; `Auto`, overridable with
 //!   `FLASH_ACCEPT_MODE=single|reuseport`) **each shard owns its own
 //!   `SO_REUSEPORT` listener** registered in its own event backend —
 //!   the kernel load-balances connection setup across all shards, no
 //!   acceptor thread serializes it, and no cross-thread dealing hop
 //!   precedes a request; backpressure is local (a shard at
-//!   [`server::NetConfig::max_conns_per_shard`], or out of
+//!   its `MAX_CONNS_PER_SHARD` cap (8192), or out of
 //!   descriptors, quiesces its listener interest and re-arms as slots
 //!   free — `accept_backpressure` counts it). The portable single
 //!   mode keeps a lightweight acceptor thread dealing connections
@@ -25,7 +25,7 @@
 //!   updates — O(ready fds) per iteration) and a portable `poll(2)`
 //!   fallback (one small FFI shim in [`poll`], no external I/O crates;
 //!   O(watched fds) per iteration), selected by
-//!   [`server::NetConfig::backend`] (`Auto` = epoll on Linux,
+//!   [`NetConfig::backend`] (`Auto` = epoll on Linux,
 //!   overridable with `FLASH_EVENT_BACKEND=poll|epoll`). The loop is
 //!   written to the **edge-triggered contract** (see [`event`]): reads
 //!   drain to `EWOULDBLOCK`, write interest is armed only while a send
@@ -33,18 +33,18 @@
 //!   consumed edge. Every connection carries a **per-state deadline**
 //!   in its shard's hashed **timing wheel** ([`timer`]; the paper's
 //!   §6.4 slow-WAN-client concern): a header-read deadline from the
-//!   first request byte ([`server::NetConfig::header_read_timeout`],
+//!   first request byte ([`NetConfig::header_read_timeout`],
 //!   default 15 s — slowloris senders; deliberately *not* refreshed by
 //!   trickled bytes), a write-progress deadline re-armed on every byte
-//!   of forward progress ([`server::NetConfig::write_stall_timeout`],
+//!   of forward progress ([`NetConfig::write_stall_timeout`],
 //!   default 30 s — stalled readers, on both the `writev` and
 //!   `sendfile` paths), and the keep-alive idle timeout
-//!   ([`server::NetConfig::idle_timeout`], default 30 s) between
+//!   ([`NetConfig::idle_timeout`], default 30 s) between
 //!   requests; each knob is `Option` (`None` disables that class). The
 //!   wheel sets the backend's wait timeout ("next wheel tick, or
 //!   block") and expires in **O(expired)** — no connection-table scan
 //!   — with each cause counted separately (`read_timeouts`,
-//!   `write_stall_timeouts`, `idle_reaped` in [`server::ServerStats`]).
+//!   `write_stall_timeouts`, `idle_reaped` in [`ServerStats`]).
 //!   The MT server arms and fires the same classes through the same
 //!   core. Conditional requests are answered: 200s carry
 //!   `Last-Modified`, a strong `ETag`, and a real, per-second-cached
@@ -67,7 +67,7 @@
 //!   pre-rendered and go out in a single gathered `writev(2)` (see
 //!   [`writev`]) with partial-write resumption tracked across segment
 //!   boundaries, while bodies above
-//!   [`server::NetConfig::sendfile_threshold_bytes`] (default
+//!   [`NetConfig::sendfile_threshold_bytes`] (default
 //!   256 KiB) bypass the content cache entirely and stream from the
 //!   kernel page cache with `sendfile(2)` (see [`sendfile`]) — so the
 //!   in-memory cache budget holds only the small-file hot set, and a
@@ -76,7 +76,7 @@
 //!   ([`cache::MAX_ENTRY_DIVISOR`]), so one huge body can never churn
 //!   a shard's working set. Cached entries do not outlive the files
 //!   they were rendered from: a hit older than
-//!   [`server::NetConfig::cache_revalidate_ttl`] (default 2 s) is
+//!   [`NetConfig::cache_revalidate_ttl`] (default 2 s) is
 //!   re-stat'ed (on the shard or by a helper, as for a miss) before it is trusted — unchanged files
 //!   revalidate for free (`revalidations`), changed or deleted ones
 //!   are evicted and reloaded (`stale_evicted`).
@@ -228,7 +228,7 @@
 //!
 //! # The dynamic tier: persistent workers, chunked streaming
 //!
-//! Paths under [`server::NetConfig::dynamic_prefix`] (builder:
+//! Paths under [`NetConfig::dynamic_prefix`] (builder:
 //! `dynamic_prefix("/app/")`) bypass the filesystem entirely and are
 //! answered by a pool of **persistent worker processes**
 //! ([`appworker::WorkerPool`]) — the paper's CGI concern (§2.2,
@@ -260,7 +260,7 @@
 //! precedence over any dynamic prefix, including `/` itself.
 //!
 //! Worker silence is bounded by
-//! [`server::NetConfig::dynamic_deadline`] (default 10 s), riding the
+//! [`NetConfig::dynamic_deadline`] (default 10 s), riding the
 //! same timing wheel as the other deadline classes: expiry **before
 //! the first frame** yields a `504 Gateway Timeout`; expiry
 //! **mid-stream** severs the connection, leaving the truncation
@@ -326,16 +326,23 @@
 //!
 //! # Observability: the flight recorder
 //!
-//! Every number the server knows about itself lives in one place: the
-//! metrics **registry** in [`stats`]. Each per-shard `AtomicU64` on
-//! [`ShardStats`] has exactly one [`stats::Desc`] (name, kind, merge
-//! rule, help), each latency histogram one [`stats::HistDesc`] — the
-//! [`ServerStats`] getters, the Prometheus exposition, and the JSON
-//! document all read through the same descriptors, so an exported
-//! metric can never drift from its getter. Shards write with relaxed
-//! atomics on their own cache lines (no locks, no contention on the
-//! request path); readers merge per-shard values on demand (counters
-//! sum, `loop_stall_max_us` takes the max).
+//! Every number the server knows about itself is declared once, as a
+//! row of the metrics table in [`stats`]: a row names the metric, its
+//! kind and merge rule, and its help string, and generates the
+//! per-shard `AtomicU64` on [`ShardStats`], its [`stats::Desc`] in the
+//! export registry, and its [`ServerStats`] getter. Each latency
+//! histogram is a row of the matching histogram table
+//! ([`stats::HistDesc`]). The getters, the Prometheus exposition, and
+//! the JSON document all read through the same descriptors, so an
+//! exported metric can never drift from its getter. Shards write with
+//! relaxed atomics on their own cache lines (no locks, no contention
+//! on the request path); readers merge per-shard values on demand
+//! (counters sum, `loop_stall_max_us` takes the max).
+//!
+//! The list of metrics is that table: its rows are the rustdoc of
+//! each [`ShardStats`] field and [`ServerStats`] getter, and a running
+//! server describes each one in the `# HELP` line of
+//! `/.flash/metrics`.
 //!
 //! Latency is recorded in **log-bucketed histograms**
 //! ([`Histogram`]: 64 power-of-two nanosecond buckets, so a quantile
@@ -345,63 +352,21 @@
 //! Recording happens inside the sans-IO core with `Instant`s passed in
 //! as parameters, so the real shards, the MT server, and the
 //! deterministic sim produce the *same* histograms — the sim in
-//! simulated time, bit-identical per seed, with the four
+//! simulated time, bit-identical per seed, with the
 //! [`HistSummary`] digests folded into its fingerprinted report.
-//!
-//! ## Scalar metrics
-//!
-//! | Metric | Kind | What it counts |
-//! |---|---|---|
-//! | `requests` | counter | Completed responses (any status), excluding `/.flash/` responses |
-//! | `metrics_requests` | counter | Responses served by the `/.flash/*` endpoints |
-//! | `accepted` | counter | Connections accepted and dealt to shards |
-//! | `helper_jobs` | counter | Disk jobs dispatched after miss coalescing (completed inline or by a helper) |
-//! | `inline_jobs` | counter | Disk jobs a shard completed itself because path and bytes were already cached (no helper handoff) |
-//! | `cache_hits` | counter | Responses served from the content cache |
-//! | `writev_calls` | counter | Gathered `writev(2)` calls on the send path |
-//! | `sendfile_calls` | counter | `sendfile(2)` calls on the large-body path |
-//! | `bytes_sendfile` | counter | Body bytes transmitted via `sendfile(2)` |
-//! | `cache_used_bytes` | gauge | Bytes resident in the content caches |
-//! | `wait_calls` / `wait_events` | counter | Readiness waits and the events they returned |
-//! | `idle_reaped` | counter | Keep-alives closed by the idle deadline |
-//! | `read_timeouts` | counter | Connections closed by the header-read deadline |
-//! | `write_stall_timeouts` | counter | Connections closed by the write-progress deadline |
-//! | `not_modified` | counter | `304 Not Modified` responses |
-//! | `range_requests` | counter | Well-formed single-range requests reaching a file response |
-//! | `range_unsatisfiable` | counter | Range requests answered `416 Range Not Satisfiable` |
-//! | `accept_backpressure` | counter | Accept throttles (fd exhaustion / accept failure) |
-//! | `revalidations` | counter | Re-stats confirming a past-TTL entry unchanged |
-//! | `stale_evicted` | counter | Entries evicted because a re-stat saw them change |
-//! | `helper_wait_timeouts` | counter | Waiters closed by the helper-completion deadline |
-//! | `jobs_cancelled` | counter | In-flight jobs cancelled after their last waiter left |
-//! | `dynamic_requests` | counter | Requests routed to the dynamic tier by the configured prefix |
-//! | `worker_respawns` | counter | Workers killed and replaced after a crash or deadline kill |
-//! | `dynamic_timeouts` | counter | Dynamic requests that hit `dynamic_deadline` (504 pre-header, severed mid-stream) |
-//! | `draining` | gauge | Shards currently in drain mode |
-//! | `drained_conns` | counter | Connections retired by a drain |
-//! | `loop_stalls` | counter | Iterations whose non-wait time exceeded [`server::NetConfig::loop_stall_threshold`] |
-//! | `loop_stall_max_us` | gauge (max) | High-water per-iteration non-wait time, µs |
-//! | `phase_{wait,accept,read,respond,completions,timers}_us` | counter | Cumulative µs per event-loop phase |
-//!
-//! Histograms (nanoseconds): `request_latency_nanos` (request parsed →
-//! final response byte queued), `ttfb_nanos` (request parsed → first
-//! byte accepted by the transport), `helper_wait_nanos` (parked
-//! `Waiting` → completion delivered), `conn_lifetime_nanos` (accept →
-//! close, any reason), `worker_wait_nanos` (dynamic dispatch → first
-//! worker frame delivered).
 //!
 //! The `phase_*` counters and the **stall watchdog** are the direct
 //! probe of the AMPED contract that the event loop never blocks: each
 //! iteration's non-wait time is split across the six phases, its
 //! maximum is kept in `loop_stall_max_us`, and any iteration busier
-//! than `loop_stall_threshold` (default 100 ms) increments
+//! than the shard loop's `LOOP_STALL_THRESHOLD` (100 ms) increments
 //! `loop_stalls` — a nonzero value means some phase performed blocking
 //! work on the event thread.
 //!
 //! ## Endpoints
 //!
-//! With [`server::NetConfig::metrics_endpoint`] enabled (builder:
-//! `with_metrics_endpoint(true)`), both servers answer two reserved
+//! With [`NetConfig::metrics_endpoint`] enabled (builder:
+//! `metrics_endpoint(true)`), both servers answer two reserved
 //! paths in-band on every shard, served from the counters without
 //! touching cache or helpers:
 //!
@@ -419,8 +384,8 @@
 //!
 //! ## Access log
 //!
-//! [`server::NetConfig::access_log_path`] (builder:
-//! `with_access_log(path)`) turns on a structured per-response log,
+//! [`NetConfig::access_log_path`] (builder:
+//! `access_log_path(path)`) turns on a structured per-response log,
 //! one line per completed response in common-log field order with
 //! latency and serving tier appended:
 //!
@@ -443,8 +408,9 @@
 //! ```no_run
 //! use flash_net::{NetConfig, Server};
 //!
-//! // NetConfig::new gives working defaults; the validating builder
-//! // rejects inconsistent combinations before any socket is opened.
+//! // The builder is the only way to a NetConfig: it starts from
+//! // working defaults and rejects inconsistent combinations before
+//! // any socket is opened.
 //! let cfg = NetConfig::builder("./public")
 //!     .dynamic_prefix("/app/")
 //!     .metrics_endpoint(true)
@@ -466,6 +432,7 @@
 
 pub mod appworker;
 pub mod cache;
+pub mod config;
 pub mod conn;
 pub mod event;
 pub mod fsjob;
@@ -485,12 +452,13 @@ pub mod writev;
 
 pub use appworker::WorkerPool;
 pub use cache::{ContentCache, Entry};
+pub use config::{ConfigError, NetConfig, NetConfigBuilder};
 pub use event::{BackendChoice, BackendKind, EventBackend};
 pub use handle::{ServeHandle, ServerKind};
 pub use handoff::{recv_listeners, request_listeners, send_listeners, HandoffControl};
 pub use lifecycle::{send_to_self, Signal, Signals};
 pub use mt::MtServer;
 pub use report::BenchReport;
-pub use server::{ConfigError, NetConfig, NetConfigBuilder, Server, ServerStats, ShardStats};
+pub use server::Server;
 pub use sock::{AcceptMode, AcceptModeKind};
-pub use stats::{HistSnapshot, HistSummary, Histogram};
+pub use stats::{HistSnapshot, HistSummary, Histogram, ServerStats, ShardStats};

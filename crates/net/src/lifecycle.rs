@@ -12,7 +12,8 @@
 //!   backend), turning asynchronous signal delivery into ordinary
 //!   readable-fd events — the same shape as the servers' existing
 //!   stop-pipe/wake machinery. The conventional mapping, applied by
-//!   [`drive`] and the `graceful_restart` example:
+//!   the caller of [`Signals::wait`] (see the `graceful_restart`
+//!   example):
 //!
 //!   | signal    | meaning                                        |
 //!   |-----------|------------------------------------------------|
@@ -20,7 +21,7 @@
 //!   | `SIGHUP`  | reload config/site tables, drop no connection  |
 //!   | `SIGINT`  | immediate stop (today's abrupt teardown)       |
 //!
-//! * [`LifecycleShared`] — the per-server state those orders mutate:
+//! * `LifecycleShared` — the per-server state those orders mutate:
 //!   a monotonic phase (`Running → Draining → Stopping`; a drain can
 //!   escalate to a stop, never the reverse), the drain deadline, and
 //!   a generation-counted reload slot the shards poll for free (one

@@ -57,6 +57,7 @@ use parking_lot::Mutex;
 
 use crate::appworker::{self, WorkerPool};
 use crate::cache::SharedCache;
+use crate::config::NetConfig;
 use crate::conn::machine::{desired_interest, sync_deadline, Conn};
 use crate::conn::{
     ConnState, Done, DoneData, HelperJob, HelperPort, JobKind, ProtoConfig, ShardCore, ShardStats,
@@ -65,11 +66,9 @@ use crate::event::Interest;
 use crate::fsjob;
 use crate::lifecycle::{LifecycleShared, PHASE_DRAINING, PHASE_STOPPING};
 use crate::poll::{poll_fds, PollFd, POLL_IN, POLL_OUT};
-use crate::server::{
-    prepare_accept_backend, run_accept_loop, AcceptSink, NetConfig, ServerStats, SockIo,
-};
+use crate::server::{prepare_accept_backend, run_accept_loop, AcceptSink, SockIo};
 use crate::sock;
-use crate::stats::AccessLogWriter;
+use crate::stats::{AccessLogWriter, ServerStats};
 use crate::timer::TimerWheel;
 
 /// The longest a connection thread blocks in `poll(2)` before it looks
@@ -124,6 +123,7 @@ impl MtServer {
     /// nonblocking + `SO_REUSEADDR` setup as the AMPED listeners, one
     /// accept path's options can never drift from the other's.
     pub fn start(addr: impl ToSocketAddrs, cfg: NetConfig) -> io::Result<MtServer> {
+        cfg.validate_for_start()?;
         let req_addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
             io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
         })?;
@@ -135,6 +135,7 @@ impl MtServer {
     /// generation (see [`crate::handoff`]): the kernel socket — and
     /// its accept backlog — survives the generation switch.
     pub fn start_inherited(cfg: NetConfig, listener: TcpListener) -> io::Result<MtServer> {
+        cfg.validate_for_start()?;
         listener.set_nonblocking(true)?;
         Self::start_impl(listener, cfg)
     }

@@ -115,7 +115,7 @@ impl FaultPlan {
 pub struct SimConfig {
     pub seed: u64,
     pub connections: u64,
-    /// Admission cap (the sim's `max_conns_per_shard`); opens beyond
+    /// Admission cap (the sim's `MAX_CONNS_PER_SHARD`); opens beyond
     /// it are backpressured and retried.
     pub max_concurrent: usize,
     /// Content-cache budget — deliberately small so eviction and

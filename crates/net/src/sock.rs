@@ -24,7 +24,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 
 /// How the server distributes `accept(2)` work (see
-/// [`crate::server::NetConfig::accept_mode`]).
+/// [`crate::config::NetConfig::accept_mode`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AcceptMode {
     /// Platform default — per-shard `SO_REUSEPORT` listeners on Linux,

@@ -1,15 +1,15 @@
-//! The **metrics registry**: one place that knows every counter,
-//! gauge, and latency histogram the server maintains, so the
-//! aggregated [`crate::server::ServerStats`] getters, the Prometheus
-//! text exposition, and the JSON export all read through the same
-//! descriptors and cannot drift apart.
+//! The **metrics registry**: one table that declares every counter,
+//! gauge, and latency histogram the server maintains. Each row of the
+//! `metrics!` table below gives a metric's field, kind, merge rule and
+//! help string once, and generates from it the [`ShardStats`] field,
+//! the descriptor the Prometheus and JSON exporters iterate
+//! ([`REGISTRY`], [`HIST_REGISTRY`]) and the aggregated
+//! [`ServerStats`] getter — so adding a metric is a one-row change,
+//! and a getter cannot drift from what `/.flash/metrics` exports.
 //!
-//! Scalars live as plain `AtomicU64` fields on
-//! [`crate::conn::ShardStats`] (one instance per shard, written with
-//! relaxed ordering on the hot path, merged on read). Each field is
-//! described once in [`REGISTRY`] — name, kind, merge rule, help —
-//! and read through a function pointer, so adding a counter without
-//! registering it is a one-line diff away from being export-visible.
+//! Scalars are plain `AtomicU64` fields on [`ShardStats`] (one
+//! instance per shard, written with relaxed ordering on the hot path,
+//! merged on read).
 //!
 //! Latencies use [`Histogram`]: 64 power-of-two buckets over
 //! nanoseconds, each a plain `AtomicU64`. Recording is a single
@@ -22,8 +22,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-use crate::conn::ShardStats;
 
 /// Elapsed nanoseconds between two driver-supplied instants,
 /// saturating at zero — the sole conversion the instrumentation uses,
@@ -185,9 +183,7 @@ pub enum MergeRule {
 }
 
 /// One scalar metric: its export identity plus how to read it off a
-/// [`ShardStats`]. Every `AtomicU64` field on `ShardStats` has exactly
-/// one `Desc` in [`REGISTRY`]; the `ServerStats` getters read through
-/// these same descriptors.
+/// [`ShardStats`]. Generated, one per row, by the metrics table.
 pub struct Desc {
     /// Export name (also the JSON key; prefixed `flash_` in the
     /// Prometheus exposition).
@@ -216,61 +212,6 @@ impl Desc {
     }
 }
 
-macro_rules! registry {
-    ($( $konst:ident / $field:ident : $kind:ident, $merge:ident, $help:expr; )+) => {
-        $(
-            pub const $konst: Desc = Desc {
-                name: stringify!($field),
-                kind: Kind::$kind,
-                merge: MergeRule::$merge,
-                help: $help,
-                read: |s: &ShardStats| s.$field.load(Ordering::Relaxed),
-            };
-        )+
-        /// Every scalar metric the server maintains, in export order.
-        pub static REGISTRY: &[Desc] = &[ $( $konst ),+ ];
-    };
-}
-
-registry! {
-    REQUESTS / requests: Counter, Sum, "Completed responses (any status), excluding /.flash/ endpoint responses";
-    METRICS_REQUESTS / metrics_requests: Counter, Sum, "Responses served by the /.flash/metrics and /.flash/stats endpoints";
-    ACCEPTED / accepted: Counter, Sum, "Connections accepted and dealt to shards";
-    HELPER_JOBS / helper_jobs: Counter, Sum, "Disk jobs dispatched after miss coalescing (completed inline or by a helper)";
-    INLINE_JOBS / inline_jobs: Counter, Sum, "Disk jobs a shard completed itself because path and bytes were already cached (no helper handoff)";
-    CACHE_HITS / cache_hits: Counter, Sum, "Responses served from the per-shard content cache";
-    WRITEV_CALLS / writev_calls: Counter, Sum, "Gathered writev(2) calls issued on the send path";
-    SENDFILE_CALLS / sendfile_calls: Counter, Sum, "sendfile(2) calls issued on the large-body path";
-    BYTES_SENDFILE / bytes_sendfile: Counter, Sum, "Body bytes transmitted via sendfile(2)";
-    CACHE_USED_BYTES / cache_used_bytes: Gauge, Sum, "Bytes currently resident in the content caches";
-    WAIT_CALLS / wait_calls: Counter, Sum, "Readiness wait calls issued by the shard loops";
-    WAIT_EVENTS / wait_events: Counter, Sum, "Readiness events returned by those waits";
-    IDLE_REAPED / idle_reaped: Counter, Sum, "Keep-alive connections closed by the idle deadline";
-    READ_TIMEOUTS / read_timeouts: Counter, Sum, "Connections closed by the header-read deadline";
-    WRITE_STALL_TIMEOUTS / write_stall_timeouts: Counter, Sum, "Connections closed by the write-progress deadline";
-    NOT_MODIFIED / not_modified: Counter, Sum, "304 Not Modified responses served to conditional requests";
-    RANGE_REQUESTS / range_requests: Counter, Sum, "Well-formed single-range requests reaching a file response (satisfiable or not)";
-    RANGE_UNSATISFIABLE / range_unsatisfiable: Counter, Sum, "Range requests answered 416 because no byte of the representation was addressable";
-    ACCEPT_BACKPRESSURE / accept_backpressure: Counter, Sum, "Accept throttles from fd exhaustion or accept failure";
-    REVALIDATIONS / revalidations: Counter, Sum, "Cache re-stats confirming an entry past its TTL still matches";
-    STALE_EVICTED / stale_evicted: Counter, Sum, "Cache entries evicted because a re-stat saw them change";
-    HELPER_WAIT_TIMEOUTS / helper_wait_timeouts: Counter, Sum, "Waiting connections closed by the helper-completion deadline";
-    JOBS_CANCELLED / jobs_cancelled: Counter, Sum, "In-flight helper jobs cancelled after their last waiter left";
-    DYNAMIC_REQUESTS / dynamic_requests: Counter, Sum, "Requests routed to the dynamic tier by the configured prefix";
-    WORKER_RESPAWNS / worker_respawns: Counter, Sum, "Application workers killed and replaced after a crash or deadline kill";
-    DYNAMIC_TIMEOUTS / dynamic_timeouts: Counter, Sum, "Dynamic requests that hit dynamic_deadline (504 pre-header, severed mid-stream)";
-    DRAINING / draining: Gauge, Sum, "Shards currently in drain mode";
-    DRAINED_CONNS / drained_conns: Counter, Sum, "Connections retired by a drain";
-    LOOP_STALLS / loop_stalls: Counter, Sum, "Event-loop iterations whose non-wait time exceeded loop_stall_threshold";
-    LOOP_STALL_MAX_US / loop_stall_max_us: Gauge, Max, "High-water mark of per-iteration non-wait loop time, microseconds";
-    PHASE_WAIT_US / phase_wait_us: Counter, Sum, "Cumulative microseconds spent blocked in readiness wait";
-    PHASE_ACCEPT_US / phase_accept_us: Counter, Sum, "Cumulative microseconds spent accepting connections";
-    PHASE_READ_US / phase_read_us: Counter, Sum, "Cumulative microseconds spent driving readiness events";
-    PHASE_RESPOND_US / phase_respond_us: Counter, Sum, "Cumulative microseconds spent driving completed connections";
-    PHASE_COMPLETIONS_US / phase_completions_us: Counter, Sum, "Cumulative microseconds spent applying helper completions";
-    PHASE_TIMERS_US / phase_timers_us: Counter, Sum, "Cumulative microseconds spent expiring deadline timers";
-}
-
 /// One latency histogram: export identity plus how to read it off a
 /// [`ShardStats`].
 pub struct HistDesc {
@@ -292,40 +233,171 @@ impl HistDesc {
     }
 }
 
-pub const HIST_REQUEST: HistDesc = HistDesc {
-    name: "request_latency_nanos",
-    help: "Request latency: request parsed to final response byte queued for the transport",
-    read: |s: &ShardStats| &s.hist_request,
-};
-pub const HIST_TTFB: HistDesc = HistDesc {
-    name: "ttfb_nanos",
-    help: "Time to first byte: request parsed to first response byte accepted by the transport",
-    read: |s: &ShardStats| &s.hist_ttfb,
-};
-pub const HIST_HELPER_WAIT: HistDesc = HistDesc {
-    name: "helper_wait_nanos",
-    help: "Helper-job wait: connection parked Waiting to its completion delivered",
-    read: |s: &ShardStats| &s.hist_helper_wait,
-};
-pub const HIST_WORKER_WAIT: HistDesc = HistDesc {
-    name: "worker_wait_nanos",
-    help: "Worker wait: dynamic request dispatched to first worker event delivered",
-    read: |s: &ShardStats| &s.hist_worker_wait,
-};
-pub const HIST_LIFETIME: HistDesc = HistDesc {
-    name: "conn_lifetime_nanos",
-    help: "Connection lifetime: accept to close, any close reason",
-    read: |s: &ShardStats| &s.hist_lifetime,
-};
+/// Counters for a running server: per-shard atomics, aggregated on
+/// read so the hot path never contends on a shared cacheline. Every
+/// row of the metrics table has one getter here, merged across shards
+/// by the row's rule — the same descriptor the exporters
+/// ([`Self::render_prometheus`], [`Self::render_json`]) iterate.
+#[derive(Debug)]
+pub struct ServerStats {
+    shards: Vec<Arc<ShardStats>>,
+}
 
-/// Every latency histogram the server maintains, in export order.
-pub static HIST_REGISTRY: &[HistDesc] = &[
-    HIST_REQUEST,
-    HIST_TTFB,
-    HIST_HELPER_WAIT,
-    HIST_WORKER_WAIT,
-    HIST_LIFETIME,
-];
+impl ServerStats {
+    pub(crate) fn new(shards: Vec<Arc<ShardStats>>) -> Self {
+        ServerStats { shards }
+    }
+
+    /// Gauge: mean readiness events per `wait` call — how much work
+    /// each kernel crossing amortizes. Rises with load (and with the
+    /// epoll backend under many-connection workloads, where a wait
+    /// returns only the ready descriptors instead of scanning all).
+    pub fn events_per_wait(&self) -> f64 {
+        let calls = self.wait_calls();
+        if calls == 0 {
+            return 0.0;
+        }
+        self.wait_events() as f64 / calls as f64
+    }
+
+    /// The full Prometheus text exposition — exactly what
+    /// `GET /.flash/metrics` serves.
+    pub fn render_prometheus(&self) -> String {
+        render_prometheus(&self.shards)
+    }
+
+    /// The full JSON stats document — exactly what
+    /// `GET /.flash/stats` serves.
+    pub fn render_json(&self) -> String {
+        render_json(&self.shards)
+    }
+
+    /// The per-shard counters (index = shard id).
+    pub fn per_shard(&self) -> &[Arc<ShardStats>] {
+        &self.shards
+    }
+}
+
+/// Declares every metric once. A scalar row
+/// `CONST / field: Kind, Merge, "help";` yields the [`ShardStats`]
+/// field, the [`Desc`] const `CONST` in [`REGISTRY`] (row order is
+/// export order) and the [`ServerStats`] getter `field()`. A histogram
+/// row `CONST / field => getter: "help";` yields the field, the
+/// [`HistDesc`] exported as `<getter>_nanos` in [`HIST_REGISTRY`] and
+/// the getter. The help string documents the field and the getter;
+/// doc attributes on a row add to both.
+macro_rules! metrics {
+    (
+        scalars {
+            $( $(#[$doc:meta])* $konst:ident / $field:ident : $kind:ident, $merge:ident, $help:literal; )+
+        }
+        histograms {
+            $( $(#[$hdoc:meta])* $hkonst:ident / $hfield:ident => $getter:ident : $hhelp:literal; )+
+        }
+    ) => {
+        /// Live counters for one event-loop shard (real or simulated —
+        /// atomics so the real driver's cross-thread readers need no
+        /// locks; the sim reads them single-threaded).
+        #[derive(Debug, Default)]
+        pub struct ShardStats {
+            $( #[doc = $help] $(#[$doc])* pub $field: AtomicU64, )+
+            $( #[doc = $hhelp] $(#[$hdoc])* pub $hfield: Histogram, )+
+        }
+
+        $(
+            pub const $konst: Desc = Desc {
+                name: stringify!($field),
+                kind: Kind::$kind,
+                merge: MergeRule::$merge,
+                help: $help,
+                read: |s: &ShardStats| s.$field.load(Ordering::Relaxed),
+            };
+        )+
+        /// Every scalar metric the server maintains, in export order.
+        pub static REGISTRY: &[Desc] = &[ $( $konst ),+ ];
+
+        $(
+            pub const $hkonst: HistDesc = HistDesc {
+                name: concat!(stringify!($getter), "_nanos"),
+                help: $hhelp,
+                read: |s: &ShardStats| &s.$hfield,
+            };
+        )+
+        /// Every latency histogram the server maintains, in export order.
+        pub static HIST_REGISTRY: &[HistDesc] = &[ $( $hkonst ),+ ];
+
+        impl ServerStats {
+            $(
+                #[doc = $help] $(#[$doc])*
+                pub fn $field(&self) -> u64 {
+                    $konst.merged(&self.shards)
+                }
+            )+
+            $(
+                #[doc = $hhelp] $(#[$hdoc])*
+                pub fn $getter(&self) -> HistSnapshot {
+                    $hkonst.merged(&self.shards)
+                }
+            )+
+        }
+    };
+}
+
+metrics! {
+    scalars {
+        REQUESTS / requests: Counter, Sum, "Completed responses (any status), excluding /.flash/ endpoint responses";
+        METRICS_REQUESTS / metrics_requests: Counter, Sum, "Responses served by the /.flash/metrics and /.flash/stats endpoints";
+        ACCEPTED / accepted: Counter, Sum, "Connections accepted and dealt to shards";
+        HELPER_JOBS / helper_jobs: Counter, Sum, "Disk jobs dispatched after miss coalescing (completed inline or by a helper)";
+        INLINE_JOBS / inline_jobs: Counter, Sum, "Disk jobs a shard completed itself because path and bytes were already cached (no helper handoff)";
+        CACHE_HITS / cache_hits: Counter, Sum, "Responses served from the per-shard content cache";
+        WRITEV_CALLS / writev_calls: Counter, Sum, "Gathered writev(2) calls issued on the send path";
+        SENDFILE_CALLS / sendfile_calls: Counter, Sum, "sendfile(2) calls issued on the large-body path";
+        BYTES_SENDFILE / bytes_sendfile: Counter, Sum, "Body bytes transmitted via sendfile(2)";
+        CACHE_USED_BYTES / cache_used_bytes: Gauge, Sum, "Bytes currently resident in the content caches";
+        WAIT_CALLS / wait_calls: Counter, Sum, "Readiness wait calls issued by the shard loops";
+        WAIT_EVENTS / wait_events: Counter, Sum, "Readiness events returned by those waits";
+        IDLE_REAPED / idle_reaped: Counter, Sum, "Keep-alive connections closed by the idle deadline";
+        READ_TIMEOUTS / read_timeouts: Counter, Sum, "Connections closed by the header-read deadline";
+        WRITE_STALL_TIMEOUTS / write_stall_timeouts: Counter, Sum, "Connections closed by the write-progress deadline";
+        NOT_MODIFIED / not_modified: Counter, Sum, "304 Not Modified responses served to conditional requests";
+        RANGE_REQUESTS / range_requests: Counter, Sum, "Well-formed single-range requests reaching a file response (satisfiable or not)";
+        RANGE_UNSATISFIABLE / range_unsatisfiable: Counter, Sum, "Range requests answered 416 because no byte of the representation was addressable";
+        /// Each throttle drops the reuseport listener's read interest;
+        /// it is re-armed once a connection slot frees.
+        ACCEPT_BACKPRESSURE / accept_backpressure: Counter, Sum, "Accept throttles from fd exhaustion or accept failure";
+        REVALIDATIONS / revalidations: Counter, Sum, "Cache re-stats confirming an entry past its TTL still matches";
+        STALE_EVICTED / stale_evicted: Counter, Sum, "Cache entries evicted because a re-stat saw them change";
+        /// Their helper or disk wedged; the late completion, if it
+        /// ever arrives, is discarded by its stale token.
+        HELPER_WAIT_TIMEOUTS / helper_wait_timeouts: Counter, Sum, "Waiting connections closed by the helper-completion deadline";
+        /// The cancel flag was raised and the pending entry dropped, so
+        /// the job is skipped if still queued and its completion (if it
+        /// already ran) dies on token mismatch — never populating the
+        /// cache, never waking a reused slot.
+        JOBS_CANCELLED / jobs_cancelled: Counter, Sum, "In-flight helper jobs cancelled after their last waiter left";
+        DYNAMIC_REQUESTS / dynamic_requests: Counter, Sum, "Requests routed to the dynamic tier by the configured prefix";
+        WORKER_RESPAWNS / worker_respawns: Counter, Sum, "Application workers killed and replaced after a crash or deadline kill";
+        DYNAMIC_TIMEOUTS / dynamic_timeouts: Counter, Sum, "Dynamic requests that hit dynamic_deadline (504 pre-header, severed mid-stream)";
+        DRAINING / draining: Gauge, Sum, "Shards currently in drain mode";
+        DRAINED_CONNS / drained_conns: Counter, Sum, "Connections retired by a drain";
+        LOOP_STALLS / loop_stalls: Counter, Sum, "Event-loop iterations whose non-wait time exceeded LOOP_STALL_THRESHOLD (100 ms)";
+        LOOP_STALL_MAX_US / loop_stall_max_us: Gauge, Max, "High-water mark of per-iteration non-wait loop time, microseconds";
+        PHASE_WAIT_US / phase_wait_us: Counter, Sum, "Cumulative microseconds spent blocked in readiness wait";
+        PHASE_ACCEPT_US / phase_accept_us: Counter, Sum, "Cumulative microseconds spent accepting connections";
+        PHASE_READ_US / phase_read_us: Counter, Sum, "Cumulative microseconds spent driving readiness events";
+        PHASE_RESPOND_US / phase_respond_us: Counter, Sum, "Cumulative microseconds spent driving completed connections";
+        PHASE_COMPLETIONS_US / phase_completions_us: Counter, Sum, "Cumulative microseconds spent applying helper completions";
+        PHASE_TIMERS_US / phase_timers_us: Counter, Sum, "Cumulative microseconds spent expiring deadline timers";
+    }
+    histograms {
+        HIST_REQUEST / hist_request => request_latency: "Request latency: request parsed to final response byte queued for the transport";
+        HIST_TTFB / hist_ttfb => ttfb: "Time to first byte: request parsed to first response byte accepted by the transport";
+        HIST_HELPER_WAIT / hist_helper_wait => helper_wait: "Helper-job wait: connection parked Waiting to its completion delivered";
+        HIST_WORKER_WAIT / hist_worker_wait => worker_wait: "Worker wait: dynamic request dispatched to first worker event delivered";
+        HIST_LIFETIME / hist_lifetime => conn_lifetime: "Connection lifetime: accept to close, any close reason";
+    }
+}
 
 /// Renders the full registry in the Prometheus text exposition format
 /// (`text/plain; version=0.0.4`): every scalar as
@@ -681,6 +753,90 @@ mod tests {
         for h in HIST_REGISTRY {
             assert!(seen.insert(h.name), "duplicate metric {}", h.name);
         }
+    }
+
+    /// The export contract of `/.flash/metrics` and `/.flash/stats`:
+    /// every scalar's name, kind and merge rule, and every histogram's
+    /// name, in export order. Scrapers key on these; a change here is
+    /// a wire change.
+    #[test]
+    fn registry_export_order_is_pinned() {
+        use Kind::{Counter as C, Gauge as G};
+        use MergeRule::{Max, Sum};
+        let expected = [
+            ("requests", C, Sum),
+            ("metrics_requests", C, Sum),
+            ("accepted", C, Sum),
+            ("helper_jobs", C, Sum),
+            ("inline_jobs", C, Sum),
+            ("cache_hits", C, Sum),
+            ("writev_calls", C, Sum),
+            ("sendfile_calls", C, Sum),
+            ("bytes_sendfile", C, Sum),
+            ("cache_used_bytes", G, Sum),
+            ("wait_calls", C, Sum),
+            ("wait_events", C, Sum),
+            ("idle_reaped", C, Sum),
+            ("read_timeouts", C, Sum),
+            ("write_stall_timeouts", C, Sum),
+            ("not_modified", C, Sum),
+            ("range_requests", C, Sum),
+            ("range_unsatisfiable", C, Sum),
+            ("accept_backpressure", C, Sum),
+            ("revalidations", C, Sum),
+            ("stale_evicted", C, Sum),
+            ("helper_wait_timeouts", C, Sum),
+            ("jobs_cancelled", C, Sum),
+            ("dynamic_requests", C, Sum),
+            ("worker_respawns", C, Sum),
+            ("dynamic_timeouts", C, Sum),
+            ("draining", G, Sum),
+            ("drained_conns", C, Sum),
+            ("loop_stalls", C, Sum),
+            ("loop_stall_max_us", G, Max),
+            ("phase_wait_us", C, Sum),
+            ("phase_accept_us", C, Sum),
+            ("phase_read_us", C, Sum),
+            ("phase_respond_us", C, Sum),
+            ("phase_completions_us", C, Sum),
+            ("phase_timers_us", C, Sum),
+        ];
+        let got: Vec<_> = REGISTRY.iter().map(|d| (d.name, d.kind, d.merge)).collect();
+        assert_eq!(got, expected);
+        let hists: Vec<_> = HIST_REGISTRY.iter().map(|h| h.name).collect();
+        assert_eq!(
+            hists,
+            [
+                "request_latency_nanos",
+                "ttfb_nanos",
+                "helper_wait_nanos",
+                "worker_wait_nanos",
+                "conn_lifetime_nanos",
+            ]
+        );
+    }
+
+    /// Each generated getter merges its row's field across shards by
+    /// the row's rule.
+    #[test]
+    fn getters_merge_their_row_across_shards() {
+        let shards = vec![
+            Arc::new(ShardStats::default()),
+            Arc::new(ShardStats::default()),
+        ];
+        shards[0].inline_jobs.store(3, Ordering::Relaxed);
+        shards[1].inline_jobs.store(4, Ordering::Relaxed);
+        shards[0].loop_stall_max_us.store(9, Ordering::Relaxed);
+        shards[1].loop_stall_max_us.store(5, Ordering::Relaxed);
+        shards[1].draining.store(1, Ordering::Relaxed);
+        shards[0].hist_lifetime.record(10);
+        shards[1].hist_lifetime.record(1000);
+        let stats = ServerStats::new(shards);
+        assert_eq!(stats.inline_jobs(), 7);
+        assert_eq!(stats.loop_stall_max_us(), 9);
+        assert_eq!(stats.draining(), 1);
+        assert_eq!(stats.conn_lifetime().count(), 2);
+        assert_eq!(stats.request_latency().count(), 0);
     }
 
     #[test]

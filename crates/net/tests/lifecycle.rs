@@ -55,7 +55,10 @@ fn read_response(s: &mut TcpStream) -> (String, Vec<u8>) {
 #[test]
 fn drain_completes_inflight_sendfile() {
     let root = docroot("drain-sendfile");
-    let cfg = NetConfig::new(&root).with_drain_timeout(Duration::from_secs(10));
+    let cfg = NetConfig::builder(&root)
+        .drain_timeout(Duration::from_secs(10))
+        .build()
+        .unwrap();
     let server = Server::start("127.0.0.1:0", cfg).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -79,7 +82,10 @@ fn drain_completes_inflight_sendfile() {
 #[test]
 fn drain_completes_pipelined_burst() {
     let root = docroot("drain-pipeline");
-    let cfg = NetConfig::new(&root).with_drain_timeout(Duration::from_secs(10));
+    let cfg = NetConfig::builder(&root)
+        .drain_timeout(Duration::from_secs(10))
+        .build()
+        .unwrap();
     let server = Server::start("127.0.0.1:0", cfg).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -112,9 +118,11 @@ fn drain_closes_idle_keepalive_promptly() {
     let root = docroot("drain-idle");
     // Idle timeout far beyond the assertion window: a prompt close
     // proves the drain swept the connection, not the idle reaper.
-    let cfg = NetConfig::new(&root)
-        .with_drain_timeout(Duration::from_secs(30))
-        .with_idle_timeout(Some(Duration::from_secs(30)));
+    let cfg = NetConfig::builder(&root)
+        .drain_timeout(Duration::from_secs(30))
+        .idle_timeout(Some(Duration::from_secs(30)))
+        .build()
+        .unwrap();
     let server = Server::start("127.0.0.1:0", cfg).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -139,7 +147,7 @@ fn drain_closes_idle_keepalive_promptly() {
 #[test]
 fn stop_finishes_response_already_in_flight() {
     let root = docroot("stop-grace");
-    let server = Server::start("127.0.0.1:0", NetConfig::new(&root)).unwrap();
+    let server = Server::start("127.0.0.1:0", NetConfig::builder(&root).build().unwrap()).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     s.write_all(b"GET /big.bin HTTP/1.0\r\n\r\n").unwrap();
@@ -166,7 +174,7 @@ fn headers_len(response_start: &[u8]) -> usize {
 #[test]
 fn stop_now_severs_immediately() {
     let root = docroot("stop-now");
-    let server = Server::start("127.0.0.1:0", NetConfig::new(&root)).unwrap();
+    let server = Server::start("127.0.0.1:0", NetConfig::builder(&root).build().unwrap()).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     s.write_all(b"GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n")
@@ -186,7 +194,8 @@ fn reload_swaps_docroot_without_dropping_connection() {
     let root_a = docroot("reload-a");
     let root_b = docroot("reload-b");
     std::fs::write(root_b.join("index.html"), b"<html>generation two</html>\n").unwrap();
-    let server = Server::start("127.0.0.1:0", NetConfig::new(&root_a)).unwrap();
+    let server =
+        Server::start("127.0.0.1:0", NetConfig::builder(&root_a).build().unwrap()).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     s.write_all(b"GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n")
@@ -225,9 +234,11 @@ fn reload_swaps_docroot_without_dropping_connection() {
 #[test]
 fn port_rebindable_by_new_generation_during_drain() {
     let root = docroot("rebind");
-    let cfg = NetConfig::new(&root)
-        .with_accept_mode(AcceptMode::ReusePort)
-        .with_drain_timeout(Duration::from_secs(10));
+    let cfg = NetConfig::builder(&root)
+        .accept_mode(AcceptMode::ReusePort)
+        .drain_timeout(Duration::from_secs(10))
+        .build()
+        .unwrap();
     let server = Server::start("127.0.0.1:0", cfg.clone()).unwrap();
     let addr = server.addr();
     // Hold the drain open: a fresh connection that has not sent its
@@ -270,7 +281,10 @@ fn port_rebindable_by_new_generation_during_drain() {
 #[test]
 fn handoff_passes_single_listener_across_generations() {
     let root = docroot("handoff-single");
-    let cfg = NetConfig::new(&root).with_accept_mode(AcceptMode::Single);
+    let cfg = NetConfig::builder(&root)
+        .accept_mode(AcceptMode::Single)
+        .build()
+        .unwrap();
     let old = Server::start("127.0.0.1:0", cfg.clone()).unwrap();
     let addr = old.addr();
 
@@ -312,10 +326,12 @@ fn helper_wait_deadline_reaps_wedged_waiter() {
     let fifo = root.join("wedge.fifo");
     mkfifo_at(&fifo);
 
-    let mut cfg = NetConfig::new(&root)
-        .with_event_loops(1)
-        .with_helper_wait_timeout(Some(Duration::from_millis(400)));
-    cfg.helpers = 1; // the single helper wedges; nothing else moves
+    let cfg = NetConfig::builder(&root)
+        .event_loops(1)
+        .helper_wait_timeout(Some(Duration::from_millis(400)))
+        .helpers(1) // the single helper wedges; nothing else moves
+        .build()
+        .unwrap();
     let server = Server::start("127.0.0.1:0", cfg).unwrap();
     let addr = server.addr();
 
@@ -397,7 +413,10 @@ fn mt_drain_completes_inflight_and_reloads_live() {
     let root_a = docroot("mt-lc-a");
     let root_b = docroot("mt-lc-b");
     std::fs::write(root_b.join("index.html"), b"<html>generation two</html>\n").unwrap();
-    let cfg = NetConfig::new(&root_a).with_drain_timeout(Duration::from_secs(10));
+    let cfg = NetConfig::builder(&root_a)
+        .drain_timeout(Duration::from_secs(10))
+        .build()
+        .unwrap();
     let server = MtServer::start("127.0.0.1:0", cfg).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -441,7 +460,8 @@ fn mt_connection_opened_after_reload_serves_new_root() {
     let root_a = docroot("mt-postreload-a");
     let root_b = docroot("mt-postreload-b");
     std::fs::write(root_b.join("index.html"), b"<html>generation two</html>\n").unwrap();
-    let server = MtServer::start("127.0.0.1:0", NetConfig::new(&root_a)).unwrap();
+    let server =
+        MtServer::start("127.0.0.1:0", NetConfig::builder(&root_a).build().unwrap()).unwrap();
     // A pre-reload request warms the shared cache with root-a bytes.
     let mut warm = TcpStream::connect(server.addr()).unwrap();
     warm.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -521,9 +541,11 @@ fn sighup_rotates_access_log_without_losing_lines() {
     let log_path = root.join("access.log");
     let server = Server::start(
         "127.0.0.1:0",
-        NetConfig::new(&root)
-            .with_event_loops(2)
-            .with_access_log(&log_path),
+        NetConfig::builder(&root)
+            .event_loops(2)
+            .access_log_path(&log_path)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
@@ -594,7 +616,10 @@ fn mt_access_log_rotation_loses_no_lines() {
     let log_path = root.join("access.log");
     let server = MtServer::start(
         "127.0.0.1:0",
-        NetConfig::new(&root).with_access_log(&log_path),
+        NetConfig::builder(&root)
+            .access_log_path(&log_path)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
@@ -643,10 +668,12 @@ fn reaping_last_waiter_cancels_inflight_jobs() {
     mkfifo_at(&fifo);
     std::fs::write(root.join("queued.html"), b"served after cancel").unwrap();
 
-    let mut cfg = NetConfig::new(&root)
-        .with_event_loops(1)
-        .with_helper_wait_timeout(Some(Duration::from_millis(300)));
-    cfg.helpers = 1; // one lane: the queued job sits behind the wedge
+    let cfg = NetConfig::builder(&root)
+        .event_loops(1)
+        .helper_wait_timeout(Some(Duration::from_millis(300)))
+        .helpers(1) // one lane: the queued job sits behind the wedge
+        .build()
+        .unwrap();
     let server = Server::start("127.0.0.1:0", cfg).unwrap();
     let addr = server.addr();
 

@@ -14,7 +14,8 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use flash_net::{
-    AcceptMode, AcceptModeKind, BackendChoice, BackendKind, MtServer, NetConfig, Server, ServerKind,
+    AcceptMode, AcceptModeKind, BackendChoice, BackendKind, MtServer, NetConfig, NetConfigBuilder,
+    Server, ServerKind,
 };
 use flash_simcore::SimRng;
 
@@ -31,8 +32,8 @@ fn docroot(tag: &str) -> std::path::PathBuf {
 
 /// Base config for a suite run: everything default except the pinned
 /// readiness backend.
-fn cfg(root: &std::path::Path, backend: BackendChoice) -> NetConfig {
-    NetConfig::new(root).with_backend(backend)
+fn cfg(root: &std::path::Path, backend: BackendChoice) -> NetConfigBuilder {
+    NetConfig::builder(root).backend(backend)
 }
 
 /// Sends one request and reads until EOF; returns the raw response.
@@ -76,7 +77,7 @@ fn read_response(s: &mut TcpStream) -> (String, Vec<u8>) {
 
 fn run_serves_files_and_404s(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let addr = server.addr();
 
     let resp = get(addr, "GET /index.html HTTP/1.0\r\n\r\n");
@@ -103,7 +104,11 @@ fn run_second_request_hits_cache(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
     // One shard: all three connections share one content cache, so
     // exactly one disk read happens (shards have private caches).
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend).with_event_loops(1)).unwrap();
+    let server = Server::start(
+        "127.0.0.1:0",
+        cfg(&root, backend).event_loops(1).build().unwrap(),
+    )
+    .unwrap();
     let addr = server.addr();
     let _ = get(addr, "GET /index.html HTTP/1.0\r\n\r\n");
     let _ = get(addr, "GET /index.html HTTP/1.0\r\n\r\n");
@@ -119,7 +124,7 @@ fn run_second_request_hits_cache(tag: &str, backend: BackendChoice) {
 
 fn run_persistent_connection(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     for i in 0..5 {
@@ -136,7 +141,7 @@ fn run_persistent_connection(tag: &str, backend: BackendChoice) {
 
 fn run_streams_large_files_intact(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let resp = get(server.addr(), "GET /big.bin HTTP/1.0\r\n\r\n");
     let body = body_of(&resp);
     assert_eq!(body.len(), 2_000_000);
@@ -164,8 +169,10 @@ fn run_sendfile_threshold_straddle(tag: &str, backend: BackendChoice) {
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(1)
-            .with_sendfile_threshold(T),
+            .event_loops(1)
+            .sendfile_threshold_bytes(T)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let addr = server.addr();
@@ -192,7 +199,7 @@ fn run_sendfile_preserves_keep_alive(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
     let body: Vec<u8> = (0..500_000usize).map(|i| (i * 13) as u8).collect();
     std::fs::write(root.join("video.bin"), &body).unwrap();
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     // Large (sendfile) request, then a small (cached) one on the SAME
@@ -216,7 +223,7 @@ fn run_sendfile_preserves_keep_alive(tag: &str, backend: BackendChoice) {
 
 fn run_head_on_large_file(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let resp = get(server.addr(), "HEAD /big.bin HTTP/1.0\r\n\r\n");
     let text = String::from_utf8_lossy(&resp);
     assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
@@ -236,7 +243,11 @@ fn run_head_on_large_file(tag: &str, backend: BackendChoice) {
 
 fn run_large_bodies_never_enter_cache(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend).with_event_loops(1)).unwrap();
+    let server = Server::start(
+        "127.0.0.1:0",
+        cfg(&root, backend).event_loops(1).build().unwrap(),
+    )
+    .unwrap();
     let addr = server.addr();
     // Warm the small-file hot set, then snapshot cache residency.
     let _ = get(addr, "GET /index.html HTTP/1.0\r\n\r\n");
@@ -265,7 +276,7 @@ fn run_large_bodies_never_enter_cache(tag: &str, backend: BackendChoice) {
 
 fn run_concurrent_clients(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let addr = server.addr();
     let threads: Vec<_> = (0..16)
         .map(|i| {
@@ -292,7 +303,7 @@ fn run_concurrent_clients(tag: &str, backend: BackendChoice) {
 
 fn run_pipelined_keep_alive(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     // Three keep-alive requests in a single write: the server must
@@ -326,8 +337,10 @@ fn run_shards_spread_round_robin(tag: &str, backend: BackendChoice) {
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(4)
-            .with_accept_mode(AcceptMode::Single),
+            .event_loops(4)
+            .accept_mode(AcceptMode::Single)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let addr = server.addr();
@@ -354,7 +367,11 @@ fn run_shards_spread_round_robin(tag: &str, backend: BackendChoice) {
 
 fn run_cache_hit_is_one_writev(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend).with_event_loops(1)).unwrap();
+    let server = Server::start(
+        "127.0.0.1:0",
+        cfg(&root, backend).event_loops(1).build().unwrap(),
+    )
+    .unwrap();
     let addr = server.addr();
     // Warm the cache, then measure the syscall count of a hit.
     let _ = get(addr, "GET /index.html HTTP/1.0\r\n\r\n");
@@ -374,7 +391,7 @@ fn run_cache_hit_is_one_writev(tag: &str, backend: BackendChoice) {
 
 fn run_rejects_bad_requests_and_post(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let addr = server.addr();
     let resp = get(addr, "BOGUS /x HTTP/9.9\r\n\r\n");
     assert!(String::from_utf8_lossy(&resp).starts_with("HTTP/1.1 400"));
@@ -389,7 +406,7 @@ fn run_rejects_bad_requests_and_post(tag: &str, backend: BackendChoice) {
 
 fn run_head_returns_headers_only(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let resp = get(server.addr(), "HEAD /index.html HTTP/1.0\r\n\r\n");
     let text = String::from_utf8_lossy(&resp);
     assert!(text.starts_with("HTTP/1.1 200 OK"));
@@ -401,7 +418,7 @@ fn run_head_returns_headers_only(tag: &str, backend: BackendChoice) {
 
 fn run_headers_are_alignment_padded(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let resp = get(server.addr(), "GET /index.html HTTP/1.0\r\n\r\n");
     let pos = resp.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
     assert_eq!((pos + 4) % 32, 0, "header must be 32-byte aligned (§5.5)");
@@ -421,8 +438,10 @@ fn run_idle_reaper(tag: &str, backend: BackendChoice, kind: ServerKind) {
         kind,
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(1)
-            .with_idle_timeout(Some(Duration::from_millis(1200))),
+            .event_loops(1)
+            .idle_timeout(Some(Duration::from_millis(1200)))
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let addr = server.local_addr();
@@ -485,12 +504,14 @@ fn run_slow_header_deadline(tag: &str, backend: BackendChoice, kind: ServerKind)
         kind,
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(1)
-            .with_header_read_timeout(Some(timeout))
+            .event_loops(1)
+            .header_read_timeout(Some(timeout))
             // Generous sibling timeouts so only the header deadline
             // can be the one that fires.
-            .with_idle_timeout(Some(Duration::from_secs(30)))
-            .with_write_stall_timeout(Some(Duration::from_secs(30))),
+            .idle_timeout(Some(Duration::from_secs(30)))
+            .write_stall_timeout(Some(Duration::from_secs(30)))
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let mut s = TcpStream::connect(server.local_addr()).unwrap();
@@ -539,10 +560,12 @@ fn run_stalled_reader_deadline(tag: &str, backend: BackendChoice, kind: ServerKi
         kind,
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(1)
-            .with_write_stall_timeout(Some(timeout))
-            .with_idle_timeout(Some(Duration::from_secs(30)))
-            .with_header_read_timeout(Some(Duration::from_secs(30))),
+            .event_loops(1)
+            .write_stall_timeout(Some(timeout))
+            .idle_timeout(Some(Duration::from_secs(30)))
+            .header_read_timeout(Some(Duration::from_secs(30)))
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let mut s = TcpStream::connect(server.local_addr()).unwrap();
@@ -597,8 +620,10 @@ fn run_slow_but_steady_reader_survives(tag: &str, backend: BackendChoice) {
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(1)
-            .with_write_stall_timeout(Some(timeout)),
+            .event_loops(1)
+            .write_stall_timeout(Some(timeout))
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
@@ -641,9 +666,12 @@ fn run_slow_but_steady_reader_survives(tag: &str, backend: BackendChoice) {
 /// bumped), a stale one gets the full 200 with `Last-Modified`.
 fn run_if_modified_since(tag: &str, backend: BackendChoice, kind: ServerKind) {
     let root = docroot(tag);
-    let server =
-        flash_net::handle::start(kind, "127.0.0.1:0", cfg(&root, backend).with_event_loops(1))
-            .unwrap();
+    let server = flash_net::handle::start(
+        kind,
+        "127.0.0.1:0",
+        cfg(&root, backend).event_loops(1).build().unwrap(),
+    )
+    .unwrap();
     let addr = server.local_addr();
 
     // Prime: the 200 carries Last-Modified (the validator clients echo).
@@ -724,7 +752,11 @@ fn run_if_modified_since(tag: &str, backend: BackendChoice, kind: ServerKind) {
 /// send time rather than serving the load-time date forever.
 fn run_date_header_is_current(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend).with_event_loops(1)).unwrap();
+    let server = Server::start(
+        "127.0.0.1:0",
+        cfg(&root, backend).event_loops(1).build().unwrap(),
+    )
+    .unwrap();
     let date_of = |resp: &[u8]| -> i64 {
         let text = String::from_utf8_lossy(resp);
         let date = text
@@ -764,7 +796,7 @@ fn run_date_header_is_current(tag: &str, backend: BackendChoice) {
 /// Connection-header token lists steer keep-alive end to end.
 fn run_connection_token_list(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let addr = server.addr();
     // 1.0 + "keep-alive, upgrade": must keep the connection open.
     let mut s = TcpStream::connect(addr).unwrap();
@@ -790,7 +822,7 @@ fn run_connection_token_list(tag: &str, backend: BackendChoice) {
 
 fn run_mt_server(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = MtServer::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = MtServer::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let addr = server.addr();
     let threads: Vec<_> = (0..8)
         .map(|_| {
@@ -822,8 +854,10 @@ fn run_reuseport_accept_distribution(tag: &str, backend: BackendChoice) {
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(4)
-            .with_accept_mode(AcceptMode::ReusePort),
+            .event_loops(4)
+            .accept_mode(AcceptMode::ReusePort)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     if server.accept_mode() != AcceptModeKind::ReusePort {
@@ -868,8 +902,10 @@ fn run_accept_mode_parity(tag: &str, backend: BackendChoice, mode: AcceptMode) {
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(2)
-            .with_accept_mode(mode),
+            .event_loops(2)
+            .accept_mode(mode)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
@@ -908,8 +944,10 @@ fn run_accept_shutdown_with_inflight(tag: &str, backend: BackendChoice, mode: Ac
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(2)
-            .with_accept_mode(mode),
+            .event_loops(2)
+            .accept_mode(mode)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let addr = server.addr();
@@ -944,8 +982,10 @@ fn run_accept_port_rebind_after_stop(tag: &str, backend: BackendChoice, mode: Ac
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(2)
-            .with_accept_mode(mode),
+            .event_loops(2)
+            .accept_mode(mode)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let addr = server.addr();
@@ -958,8 +998,10 @@ fn run_accept_port_rebind_after_stop(tag: &str, backend: BackendChoice, mode: Ac
     let server2 = Server::start(
         addr,
         cfg(&root, backend)
-            .with_event_loops(2)
-            .with_accept_mode(AcceptMode::Single),
+            .event_loops(2)
+            .accept_mode(AcceptMode::Single)
+            .build()
+            .unwrap(),
     )
     .expect("port must be rebindable after stop");
     assert_eq!(server2.addr(), addr);
@@ -979,8 +1021,10 @@ fn run_cache_revalidation(tag: &str, backend: BackendChoice) {
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(1)
-            .with_cache_revalidate_ttl(Some(ttl)),
+            .event_loops(1)
+            .cache_revalidate_ttl(Some(ttl))
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let addr = server.addr();
@@ -1045,7 +1089,10 @@ fn run_mt_cache_revalidation(tag: &str, backend: BackendChoice) {
     let ttl = Duration::from_millis(100);
     let server = MtServer::start(
         "127.0.0.1:0",
-        cfg(&root, backend).with_cache_revalidate_ttl(Some(ttl)),
+        cfg(&root, backend)
+            .cache_revalidate_ttl(Some(ttl))
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let addr = server.addr();
@@ -1062,7 +1109,7 @@ fn run_mt_cache_revalidation(tag: &str, backend: BackendChoice) {
 
 fn run_backend_resolution(tag: &str, backend: BackendChoice, expect: BackendKind) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     assert_eq!(server.backend(), expect);
     // Sanity: the resolved backend actually serves.
     let resp = get(server.addr(), "GET /index.html HTTP/1.0\r\n\r\n");
@@ -1375,8 +1422,10 @@ fn run_send_plane_parity(tag: &str, backend: BackendChoice) {
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(1)
-            .with_sendfile_threshold(8 * 1024),
+            .event_loops(1)
+            .sendfile_threshold_bytes(8 * 1024)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     check_send_plane(server.addr(), &pat, &patbig);
@@ -1395,7 +1444,10 @@ fn run_mt_send_plane_parity(tag: &str, backend: BackendChoice) {
     let (root, pat, patbig) = parity_root(tag);
     let server = MtServer::start(
         "127.0.0.1:0",
-        cfg(&root, backend).with_sendfile_threshold(8 * 1024),
+        cfg(&root, backend)
+            .sendfile_threshold_bytes(8 * 1024)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     check_send_plane(server.addr(), &pat, &patbig);
@@ -1422,8 +1474,10 @@ fn run_random_range_windows(tag: &str, backend: BackendChoice, mt: bool) {
     std::fs::write(root.join("wsmall.bin"), &small).unwrap();
     std::fs::write(root.join("wbig.bin"), &big).unwrap();
     let c = cfg(&root, backend)
-        .with_event_loops(1)
-        .with_sendfile_threshold(T);
+        .event_loops(1)
+        .sendfile_threshold_bytes(T)
+        .build()
+        .unwrap();
     // Both drivers behind the one ServeHandle surface: no per-server
     // match arms anywhere below.
     let kind = if mt {
@@ -1812,11 +1866,16 @@ fn real_gzip_fixture_range_and_variant_parity() {
         assert_eq!(body_of(&resp), &identity[..]);
     };
 
-    let server = Server::start("127.0.0.1:0", NetConfig::new(&root).with_event_loops(1)).unwrap();
+    let server = Server::start(
+        "127.0.0.1:0",
+        NetConfig::builder(&root).event_loops(1).build().unwrap(),
+    )
+    .unwrap();
     check(server.addr());
     server.stop();
 
-    let server = MtServer::start("127.0.0.1:0", NetConfig::new(&root)).unwrap();
+    let server =
+        MtServer::start("127.0.0.1:0", NetConfig::builder(&root).build().unwrap()).unwrap();
     check(server.addr());
     server.stop();
 
@@ -1868,10 +1927,12 @@ fn inline_resident_miss_and_revalidation_bypass_a_wedged_helper() {
     let root = docroot("inline-wedge");
     let fifo = root.join("wedge.fifo");
     mkfifo_at(&fifo);
-    let mut cfg = NetConfig::new(&root)
-        .with_event_loops(1)
-        .with_cache_revalidate_ttl(Some(Duration::from_millis(200)));
-    cfg.helpers = 1;
+    let cfg = NetConfig::builder(&root)
+        .event_loops(1)
+        .cache_revalidate_ttl(Some(Duration::from_millis(200)))
+        .helpers(1)
+        .build()
+        .unwrap();
     let server = Server::start("127.0.0.1:0", cfg).unwrap();
     let addr = server.addr();
     let shard = &server.stats().per_shard()[0];
@@ -1932,5 +1993,56 @@ fn inline_resident_miss_and_revalidation_bypass_a_wedged_helper() {
     drop(std::fs::OpenOptions::new().write(true).open(&fifo));
     drop(wedged);
     server.stop();
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// A config changed after `build` is checked again at start: both
+/// servers, from a fresh bind or from inherited listeners, refuse it
+/// with `InvalidInput` before binding anything. The test holds the
+/// port itself, so a server that tried to bind it would fail with
+/// `AddrInUse` instead.
+#[test]
+fn start_rejects_a_config_broken_after_build() {
+    let root = docroot("start-validate");
+    let held = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = held.local_addr().unwrap();
+    let valid = NetConfig::builder(&root).build().unwrap();
+    let mut no_helpers = valid.clone();
+    no_helpers.helpers = 0;
+    let mut bad_prefix = valid.clone();
+    bad_prefix.dynamic_prefix = Some("app/".into());
+
+    for (kind, cfg) in [
+        (ServerKind::Amped, &no_helpers),
+        (ServerKind::Amped, &bad_prefix),
+        (ServerKind::Mt, &bad_prefix),
+    ] {
+        let err = flash_net::handle::start(kind, addr, cfg.clone())
+            .err()
+            .unwrap_or_else(|| panic!("{kind:?} started with an invalid config"));
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidInput,
+            "{kind:?}: {err}"
+        );
+    }
+    for cfg in [&no_helpers, &bad_prefix] {
+        let err = Server::start_inherited(cfg.clone(), vec![held.try_clone().unwrap()])
+            .err()
+            .expect("AMPED started on inherited listeners with an invalid config");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    }
+    let err = MtServer::start_inherited(bad_prefix.clone(), held.try_clone().unwrap())
+        .err()
+        .expect("MT started on an inherited listener with an invalid config");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+
+    // Only the broken field was at fault: the config it came from starts.
+    for kind in [ServerKind::Amped, ServerKind::Mt] {
+        flash_net::handle::start(kind, "127.0.0.1:0", valid.clone())
+            .unwrap()
+            .stop();
+    }
+    drop(held);
     let _ = std::fs::remove_dir_all(root);
 }

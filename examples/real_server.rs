@@ -30,8 +30,8 @@ fn main() -> std::io::Result<()> {
         "<html><body>Pai, Druschel, Zwaenepoel — USENIX 1999</body></html>\n",
     )?;
 
-    // The validating builder: same defaults as `NetConfig::new`, plus
-    // a consistency check before any socket is opened.
+    // The builder is the only way to a config: the documented
+    // defaults, plus a consistency check before any socket is opened.
     let cfg = NetConfig::builder(&root)
         .build()
         .expect("consistent config");

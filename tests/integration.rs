@@ -100,7 +100,7 @@ fn generated_site_served_by_real_server() {
         std::fs::create_dir_all(p.parent().expect("nested")).unwrap();
         std::fs::write(p, vec![b'x'; s.size as usize]).unwrap();
     }
-    let server = Server::start("127.0.0.1:0", NetConfig::new(&root)).unwrap();
+    let server = Server::start("127.0.0.1:0", NetConfig::builder(&root).build().unwrap()).unwrap();
     for s in specs.iter().take(32) {
         let mut conn = TcpStream::connect(server.addr()).unwrap();
         conn.write_all(format!("GET {} HTTP/1.0\r\n\r\n", s.path).as_bytes())
@@ -155,7 +155,7 @@ fn simulated_and_real_servers_agree_on_header_format() {
             ..Default::default()
         },
     );
-    let server = Server::start("127.0.0.1:0", NetConfig::new(&root)).unwrap();
+    let server = Server::start("127.0.0.1:0", NetConfig::builder(&root).build().unwrap()).unwrap();
     let mut conn = TcpStream::connect(server.addr()).unwrap();
     conn.write_all(b"GET /f.html HTTP/1.0\r\n\r\n").unwrap();
     let mut resp = Vec::new();
